@@ -1,0 +1,130 @@
+"""Golden outputs: fixed command lines must write byte-identical artifacts.
+
+Each case runs ``fastgrad.cli.main`` into a fresh directory and compares the
+sha256 of every artifact it writes. summary.json is hashed without its
+``wall_time_s`` field, the only entry that is not a function of the inputs.
+A digest that moves means the algorithm, its oracle counts or the output
+format changed; update it only together with a note saying why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from fastgrad.cli import ENV_BUDGET, main
+
+ILL = "quadratic:1000.0,0.1"
+EPS = ["--eps-rel", repr(2.0**-20), "--x0", "gaussian", "--seed", "7"]
+
+CASES = {
+    "acgm": (
+        ["run", "--problem", ILL, "--method", "acgm", "--l0", "1000", *EPS],
+        0,
+        {
+            "trace.csv": "21d80e86781ad60a7d85256a479eecc598a0d7bd892b476ae9497dd71322e8c0",
+            "summary.json": "9a2c84688bc1f2ed2254c6857a56978fdc4846594392c16524539ed43a52298e",
+        },
+    ),
+    "algm-l0-over": (
+        ["run", "--problem", ILL, "--method", "algm", "--l0", "64000", *EPS],
+        0,
+        {
+            "trace.csv": "8b1cae8ee76946024414dc451f8e534be5b0aaf6975a766b21212c7615debccf",
+            "summary.json": "f987d82352ba988511a626a0d9767fe0a8c087a24c95bddac4ae7e75e5c01d34",
+        },
+    ),
+    "algm-l0-under": (
+        ["run", "--problem", ILL, "--method", "algm", "--l0", "3", *EPS],
+        0,
+        {
+            "trace.csv": "dfba0038dca2a5be613bc05864d5f1fa447a33d16e8dfca3df78b4ec93411e37",
+            "summary.json": "b0595243ef66f1c80708f6525716a9416cc3ec76790ed415bf6652c75c93a712",
+        },
+    ),
+    "ugm": (
+        ["run", "--problem", "quadratic:50.0,1.0", "--method", "ugm", "--l0", "7", *EPS],
+        0,
+        {
+            "trace.csv": "8c39a7d6dfd4ba5e9edfbfff1ac74e5c05d37ea0bc57e3e0ff46ebe9f0033cb4",
+            "summary.json": "25b1d8ae6052b0f86e573a2fa43bd1602246b2453d694d8919a8e0a641af0c96",
+        },
+    ),
+    "ogmg_repeated": (
+        ["run", "--problem", ILL, "--method", "ogmg_repeated:1000,0.1", *EPS],
+        0,
+        {
+            "trace.csv": "99556b39a1f45bc8d59a0306e0b99bdfdb7059f2525ee000abe7043b6a543fc0",
+            "summary.json": "cfcbde9fc19caf837c0ff5a8a65ef53b19aaca31d5a71ed05b8fe3dbb1e1ecd7",
+        },
+    ),
+    "ogmg": (
+        ["run", "--problem", ILL, "--method", "ogmg:40", "--l0", "1000", "--eps-rel", "0.05", "--x0", "gaussian", "--seed", "7"],
+        0,
+        {
+            "trace.csv": "7bc7a8ce1ec4534034dc2c466f30cabe76f4f3c8526bce17777103d909e23386",
+            "summary.json": "b4fab3c3a246a3c63178f576158e15f9c7e44b50b873e8ce4228f177f9c39327",
+        },
+    ),
+    "ogmg-trace-values": (
+        ["run", "--problem", ILL, "--method", "ogmg:40", "--l0", "1000", "--trace-values", *EPS],
+        2,
+        {
+            "trace.csv": "b8befb99285579b9b2819d01bea6657284aecf588a1cb26fe8466fb15b486b34",
+            "summary.json": "5a54f41c0f17883107dcad8d14ab1d704e4b9a8c4e401f0bce1bca8d15051da9",
+        },
+    ),
+    "acgm-budget-exhausted": (
+        ["run", "--problem", ILL, "--method", "acgm", "--l0", "1000", "--max-grad-calls", "200", *EPS],
+        2,
+        {
+            "trace.csv": "5871d896f088a5533f4d9119c278f4116ecc1278e6ac85eda7848db4b9ecc100",
+            "summary.json": "7ca7bf0be86a9dc9ea6cd97a09dbdac5e3d5459a5de07b217ab4100bfd27bbc1",
+        },
+    ),
+    "logreg-algm": (
+        ["run", "--problem", "logreg:60,40,0.01,3", "--method", "algm", "--l0", "1000", *EPS],
+        0,
+        {
+            "trace.csv": "ec448c2ac8eb7bad3e8a8631a8bff86acc33b22b2442f7a94b0011e565c2202e",
+            "summary.json": "e91986481b0cfe26247d3424d9b25eac6094138c2654c2735b98837d8dc105fb",
+        },
+    ),
+    "sweep-L": (
+        ["sweep", "--problem", "quadratic:100.0,1.0", "--method", "acgm", "--l0", "100",
+         "--axis", "L", "--values", "1e2,1e3,1e4", "--reps", "2", *EPS],
+        0,
+        {
+            "sweep.csv": "db85f79536bc824b7b0b58916b1167f35468fe3695765967ef2c7b3ac532ccd1",
+        },
+    ),
+    "compare-4": (
+        ["compare", "--problem", ILL, "--l0", "1000", *EPS,
+         "--spec", "acgm", "--spec", "algm;l0=5", "--spec", "ugm", "--spec", "ogmg_repeated:1000,0.1"],
+        0,
+        {
+            "compare.csv": "0ad2a6ed260f8a446137154b1727145e1562a8fa80b8350f66bca77f402e11e2",
+        },
+    ),
+}
+
+
+def digest(path) -> str:
+    if path.name == "summary.json":
+        summary = json.loads(path.read_text())
+        del summary["wall_time_s"]
+        data = json.dumps(summary, indent=2).encode()
+    else:
+        data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_BUDGET, raising=False)
+    argv, exit_code, expected = CASES[name]
+    assert main([*argv, "--out", str(tmp_path)]) == exit_code
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(expected)
+    assert {name: digest(tmp_path / name) for name in written} == expected
