@@ -16,8 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import CountingOracle, EventKind, RunTrace, TraceEvent, Vector, as_vector, norm2
-from .drivers import DriverResult, SolverConfig, _BestTracker, acgm, algm, ogmg_repeated, ugm
+from .core import CountingOracle, EventKind, RunTrace, TraceEvent, Vector, norm2
+from .drivers import DriverResult, RunRecorder, SolverConfig, acgm, algm, ogmg_repeated, ugm
 from .ogmg import ogmg_run
 from .problems import QuadraticProblem, gen_logreg, load_logreg_csv
 from .rng import SplitMix64
@@ -176,25 +176,22 @@ def _run_fixed_budget(
     Records one event per iterate; the final verification gradient is the
     harness's own evaluation, on top of the method's exact n.
     """
-    trace = RunTrace(instrumented_values=trace_values)
-    best = _BestTracker()
+    rec = RunRecorder(oracle, instrumented_values=trace_values)
 
     def probe(x: Vector, g_vec: Vector) -> None:
         g = norm2(g_vec)
         f_val = oracle.value(x) if trace_values else None
-        trace.record(oracle, EventKind.OUTER_STEP, g, f_value=f_val, L_estimate=L)
-        best.offer(x, g)
+        rec.event(EventKind.OUTER_STEP, x, g, f_value=f_val, L_estimate=L)
 
-    start = as_vector(x0).copy()
-    x_final = ogmg_run(oracle, start, L, n, iterate_probe=probe)
+    rec.trajectory.append(x0)
+    x_final = ogmg_run(oracle, x0, L, n, iterate_probe=probe)
     g_final = norm2(oracle.gradient(x_final))
     f_final = oracle.value(x_final) if trace_values else None
-    best.offer(x_final, g_final)
     converged = g_final <= epsilon
     kind = EventKind.TERMINATED if converged else EventKind.OUTER_STEP
-    trace.record(oracle, kind, g_final, f_value=f_final, L_estimate=L)
-    assert best.point is not None
-    return DriverResult([start, x_final], trace, converged, best.point, best.grad_norm)
+    rec.trajectory.append(x_final)
+    rec.event(kind, x_final, g_final, f_value=f_final, L_estimate=L)
+    return rec.result(converged)
 
 
 def _execute(spec: ExperimentSpec) -> tuple[DriverResult, CountingOracle, SolverConfig]:
@@ -364,8 +361,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     rows = []
     for value, rep, point in grid:
         result, oracle, _ = _execute(point)
-        problem = build_problem(point.problem)
-        ratio = float(np.sqrt(problem.known_L / problem.known_mu))
+        ratio = float(np.sqrt(oracle.inner.known_L / oracle.inner.known_mu))
         rows.append(
             {
                 "axis_value": value,

@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _compare_spec(text: str, args) -> ExperimentSpec:
     parts = text.split(";")
-    method = parse_method(parts[0])
     overrides = {}
     for part in parts[1:]:
         key, _, value = part.partition("=")
@@ -181,18 +180,11 @@ def _compare_spec(text: str, args) -> ExperimentSpec:
             raise ValueError(f"bad compare spec field {part!r} (expected l0=, mu0= or beta=)")
         overrides[key] = float(value)
     ns = argparse.Namespace(**vars(args))
+    ns.method = parts[0]
     ns.l0 = overrides.get("l0", args.l0)
     ns.mu0 = overrides.get("mu0", args.mu0)
     ns.beta = overrides.get("beta", args.beta)
-    cfg, eps_rel = _config(ns, method)
-    return ExperimentSpec(
-        problem=parse_problem(args.problem),
-        method=method,
-        config=cfg,
-        x0=StartSpec(kind=args.x0, seed=args.seed),
-        output_dir=Path(args.out),
-        eps_rel=eps_rel,
-    )
+    return _experiment(ns)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

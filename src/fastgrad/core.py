@@ -46,13 +46,6 @@ def norm2(x: Vector) -> float:
     return scale * float(np.sqrt(np.dot(z, z)))
 
 
-def axpy(a: float, x: Vector, y: Vector) -> Vector:
-    """Return a*x + y. Mixed dimensions are rejected."""
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return a * x + y
-
-
 @dataclass(frozen=True)
 class Objective:
     """Black-box objective: a value and a gradient callable over R^dim.
@@ -102,6 +95,16 @@ class CountingOracle:
                 f"{self.grad_calls} gradient evaluations"
             )
         return g
+
+
+def start_vector(oracle: CountingOracle, x0) -> Vector:
+    """Private copy of a solver's start point, checked against the objective's dimension."""
+    x = as_vector(x0)
+    if x.size != oracle.inner.dim:
+        raise ValueError(
+            f"dimension mismatch: objective dim {oracle.inner.dim}, start point has {x.size}"
+        )
+    return x.copy()
 
 
 class EventKind(Enum):

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import CountingOracle, EventKind, RunTrace, Vector, as_vector, norm2
+from .core import CountingOracle, EventKind, RunTrace, Vector, norm2, start_vector
 from .ogmg import RunawayLipschitzError, halving_budget, ogmg_run, ogmgl_run
 
 log = logging.getLogger(__name__)
@@ -67,7 +67,7 @@ class SolverConfig:
         if self.mu0 > self.L0:
             warnings.warn(
                 f"mu0={self.mu0} exceeds L0={self.L0}; clamping mu0 to L0",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
             self.mu0 = self.L0
         if self.mu_floor is None:
@@ -93,15 +93,32 @@ class DriverResult:
     best_grad_norm: float
 
 
-class _BestTracker:
-    def __init__(self):
-        self.point: Optional[Vector] = None
-        self.grad_norm = math.inf
+class RunRecorder:
+    """Trace, best point and accepted trajectory of one driver run.
 
-    def offer(self, x: Vector, grad_norm: float) -> None:
-        if grad_norm < self.grad_norm:
-            self.grad_norm = grad_norm
-            self.point = x
+    Every trace row goes through event(), which also keeps the point of
+    minimal gradient norm seen so far; drivers append accepted points to
+    trajectory themselves. result() packs the three into a DriverResult.
+    """
+
+    def __init__(self, oracle: CountingOracle, instrumented_values: bool = False):
+        self.oracle = oracle
+        self.trace = RunTrace(instrumented_values=instrumented_values)
+        self.trajectory: list[Vector] = []
+        self.best_point: Optional[Vector] = None
+        self.best_grad_norm = math.inf
+
+    def event(self, kind: EventKind, x: Vector, grad_norm: float, **estimates) -> None:
+        self.trace.record(self.oracle, kind, grad_norm, **estimates)
+        if grad_norm < self.best_grad_norm:
+            self.best_grad_norm = grad_norm
+            self.best_point = x
+
+    def result(self, converged: bool) -> DriverResult:
+        assert self.best_point is not None
+        return DriverResult(
+            self.trajectory, self.trace, converged, self.best_point, self.best_grad_norm
+        )
 
 
 def _adaptive_restarts(
@@ -110,56 +127,44 @@ def _adaptive_restarts(
     cfg: SolverConfig,
     run_attempt: AttemptFn,
     L_initial: float,
-    trace: RunTrace,
-    best: _BestTracker,
+    rec: RunRecorder,
 ) -> DriverResult:
     """Shared outer loop: multiply mu by beta, attempt, demand a halved
     gradient norm; on failure divide mu by beta and retry, adopting a
     strictly better rejected point as the new restart point."""
-    x0 = as_vector(x0).copy()
-
-    g_ref = norm2(oracle.gradient(x0))
-    best.offer(x0, g_ref)
-    trajectory = [x0]
-    x_ref = x0
-    if g_ref <= cfg.epsilon:
-        trace.record(oracle, EventKind.TERMINATED, g_ref, mu_estimate=cfg.mu0, L_estimate=L_initial)
-        return DriverResult(trajectory, trace, True, x0, g_ref)
-    trace.record(oracle, EventKind.OUTER_STEP, g_ref, mu_estimate=cfg.mu0, L_estimate=L_initial)
+    x_ref = start_vector(oracle, x0)
+    g_ref = norm2(oracle.gradient(x_ref))
+    rec.trajectory.append(x_ref)
+    if g_ref > cfg.epsilon:
+        rec.event(EventKind.OUTER_STEP, x_ref, g_ref, mu_estimate=cfg.mu0, L_estimate=L_initial)
 
     mu_prev = cfg.mu0
     L_last = L_initial
-    exhausted = False
-    converged = False
     while True:
         if g_ref <= cfg.epsilon:
-            trace.record(oracle, EventKind.TERMINATED, g_ref, mu_estimate=mu_prev, L_estimate=L_last)
-            converged = True
-            break
+            rec.event(EventKind.TERMINATED, x_ref, g_ref, mu_estimate=mu_prev, L_estimate=L_last)
+            return rec.result(True)
         if oracle.grad_calls >= cfg.max_grad_calls:
-            exhausted = True
-            break
+            return rec.result(False)
         mu_work = cfg.beta * mu_prev
         retries = 0
         step_start = x_ref
         while True:  # attempts within one outer step
             cand, mu_work, L_last = run_attempt(x_ref, mu_work)
             g_cand = norm2(oracle.gradient(cand))
-            best.offer(cand, g_cand)
             if g_cand <= 0.5 * g_ref:
-                trace.record(oracle, EventKind.OUTER_STEP, g_cand, mu_estimate=mu_work, L_estimate=L_last)
+                rec.trajectory.append(cand)
+                rec.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
                 x_ref, g_ref = cand, g_cand
-                trajectory.append(cand)
                 mu_prev = mu_work
                 break
-            trace.record(oracle, EventKind.RETRY, g_cand, mu_estimate=mu_work, L_estimate=L_last)
+            rec.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
             mu_work /= cfg.beta
             if g_cand < g_ref:
                 x_ref, g_ref = cand, g_cand  # adopt the improved restart point
             retries += 1
             if oracle.grad_calls >= cfg.max_grad_calls:
-                exhausted = True
-                break
+                return rec.result(False)
             if retries >= cfg.max_retries_per_step or mu_work < cfg.mu_floor:
                 log.warning(
                     "halving test failed %d times (working mu %.3e); accepting the "
@@ -169,13 +174,8 @@ def _adaptive_restarts(
                 )
                 mu_prev = max(mu_work, cfg.mu_floor)
                 if x_ref is not step_start:
-                    trajectory.append(x_ref)
+                    rec.trajectory.append(x_ref)
                 break
-        if exhausted:
-            break
-
-    assert best.point is not None
-    return DriverResult(trajectory, trace, converged, best.point, best.grad_norm)
 
 
 def acgm(oracle: CountingOracle, x0: Vector, L: float, cfg: SolverConfig) -> DriverResult:
@@ -191,7 +191,7 @@ def acgm(oracle: CountingOracle, x0: Vector, L: float, cfg: SolverConfig) -> Dri
         n = halving_budget(L, mu_work)
         return ogmg_run(oracle, x_ref, L, n), mu_work, L
 
-    return _adaptive_restarts(oracle, x0, cfg, attempt, L, RunTrace(), _BestTracker())
+    return _adaptive_restarts(oracle, x0, cfg, attempt, L, RunRecorder(oracle))
 
 
 def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
@@ -203,20 +203,18 @@ def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     L/mu (hence the budget) survives the estimate change. Inner estimate
     doublings surface in the trace as inner_restart events.
     """
-    trace = RunTrace()
-    best = _BestTracker()
+    rec = RunRecorder(oracle)
     state = {"L": cfg.L0, "mu": cfg.mu0}
 
     def on_restart(x_bad: Vector, g_norm: float, f_bad: float, L_new: float) -> None:
-        trace.record(
-            oracle,
+        rec.event(
             EventKind.INNER_RESTART,
+            x_bad,
             g_norm,
             f_value=f_bad,
             mu_estimate=state["mu"],
             L_estimate=L_new,
         )
-        best.offer(x_bad, g_norm)
 
     def attempt(x_ref: Vector, mu_work: float) -> tuple[Vector, float, float]:
         state["mu"] = mu_work
@@ -228,7 +226,7 @@ def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
         state["mu"] = mu_next
         return out.x_final, mu_next, out.L_end
 
-    return _adaptive_restarts(oracle, x0, cfg, attempt, cfg.L0, trace, best)
+    return _adaptive_restarts(oracle, x0, cfg, attempt, cfg.L0, rec)
 
 
 def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
@@ -239,26 +237,23 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     f(x') <= f(x) - |g|**2/(2L) accepts. Accepted values are reused, so the
     per-probe cost is a single value evaluation.
     """
-    x = as_vector(x0).copy()
-    trace = RunTrace()
-    best = _BestTracker()
-
-    g_vec = oracle.gradient(x)
-    g = norm2(g_vec)
-    best.offer(x, g)
-    trajectory = [x]
-    if g <= cfg.epsilon:
-        trace.record(oracle, EventKind.TERMINATED, g, L_estimate=cfg.L0)
-        return DriverResult(trajectory, trace, True, x, g)
-    f_x = oracle.value(x)
-    trace.record(oracle, EventKind.OUTER_STEP, g, f_value=f_x, L_estimate=cfg.L0)
-
+    x = start_vector(oracle, x0)
+    rec = RunRecorder(oracle)
+    f_x = None  # the start value is evaluated only once the start is known not to stop
     L_cur = cfg.L0
     limit = cfg.L0 * 2.0**60
-    converged = False
     while True:
+        g_vec = oracle.gradient(x)
+        g = norm2(g_vec)
+        rec.trajectory.append(x)
+        if g <= cfg.epsilon:
+            rec.event(EventKind.TERMINATED, x, g, f_value=f_x, L_estimate=L_cur)
+            return rec.result(True)
+        if f_x is None:
+            f_x = oracle.value(x)
+        rec.event(EventKind.OUTER_STEP, x, g, f_value=f_x, L_estimate=L_cur)
         if oracle.grad_calls >= cfg.max_grad_calls:
-            break
+            return rec.result(False)
         L_cur /= 2.0
         while True:  # double until sufficient decrease holds
             cand = x - g_vec / L_cur
@@ -272,18 +267,6 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
                     "oracle looks non-smooth or inconsistent"
                 )
         x, f_x = cand, f_cand
-        g_vec = oracle.gradient(x)
-        g = norm2(g_vec)
-        best.offer(x, g)
-        trajectory.append(x)
-        if g <= cfg.epsilon:
-            trace.record(oracle, EventKind.TERMINATED, g, f_value=f_x, L_estimate=L_cur)
-            converged = True
-            break
-        trace.record(oracle, EventKind.OUTER_STEP, g, f_value=f_x, L_estimate=L_cur)
-
-    assert best.point is not None
-    return DriverResult(trajectory, trace, converged, best.point, best.grad_norm)
 
 
 def ogmg_repeated(
@@ -306,38 +289,22 @@ def ogmg_repeated(
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
-    x = as_vector(x0).copy()
+    x = start_vector(oracle, x0)
     n = halving_budget(L, mu)
-    trace = RunTrace()
-    best = _BestTracker()
-
-    g0 = norm2(oracle.gradient(x))
-    g = g0
-    best.offer(x, g)
-    trajectory = [x]
-    if g <= epsilon:
-        trace.record(oracle, EventKind.TERMINATED, g, mu_estimate=mu, L_estimate=L)
-        return DriverResult(trajectory, trace, True, x, g)
-    trace.record(oracle, EventKind.OUTER_STEP, g, mu_estimate=mu, L_estimate=L)
-
-    converged = False
+    rec = RunRecorder(oracle)
+    g0 = g = norm2(oracle.gradient(x))
     while True:
+        rec.trajectory.append(x)
+        if g <= epsilon:
+            rec.event(EventKind.TERMINATED, x, g, mu_estimate=mu, L_estimate=L)
+            return rec.result(True)
+        rec.event(EventKind.OUTER_STEP, x, g, mu_estimate=mu, L_estimate=L)
         if oracle.grad_calls >= max_grad_calls:
-            break
+            return rec.result(False)
         x = ogmg_run(oracle, x, L, n)
         g = norm2(oracle.gradient(x))
-        best.offer(x, g)
-        trajectory.append(x)
         if g > 1e6 * g0:
             raise DivergenceError(
                 f"gradient norm grew from {g0:.3e} to {g:.3e}; "
                 "the supplied smoothness constant looks too small"
             )
-        if g <= epsilon:
-            trace.record(oracle, EventKind.TERMINATED, g, mu_estimate=mu, L_estimate=L)
-            converged = True
-            break
-        trace.record(oracle, EventKind.OUTER_STEP, g, mu_estimate=mu, L_estimate=L)
-
-    assert best.point is not None
-    return DriverResult(trajectory, trace, converged, best.point, best.grad_norm)

@@ -15,15 +15,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CountingOracle, NonFiniteError, Vector, as_vector
+from .core import CountingOracle, NonFiniteError, Vector, start_vector
 
-# Probe signatures:
+# Callback signatures:
 #   iterate probe: (x_i, grad_at_x_i) before each step
 #   restart callback: (x_bad, grad_norm, f_at_x_bad, L_after_doubling)
 #   step probe: (i, f_x, grad_sq, f_y, L_current) after each accepted step
+#   gradient step: (i, x_i) -> y_{i+1}, or None to abandon the pass
 IterateProbe = Callable[[Vector, Vector], None]
 RestartCallback = Callable[[Vector, float, float, float], None]
 StepProbe = Callable[[int, float, float, float, float], None]
+GradientStep = Callable[[int, Vector], Optional[Vector]]
 
 
 class RunawayLipschitzError(RuntimeError):
@@ -80,6 +82,27 @@ def halving_budget(L: float, mu: float) -> int:
     return max(1, math.ceil(2.0 * math.sqrt(2.0 * L / mu)))
 
 
+def _momentum_pass(x0: Vector, N: int, gradient_step: GradientStep) -> Optional[Vector]:
+    """N steps of the accelerated recurrence from x0, or None if a step gives up.
+
+    gradient_step(i, x_i) returns the gradient point y_{i+1}; the momentum
+    update x_{i+1} = y_{i+1} + beta_i (y_{i+1} - y_i) + gamma_i (y_{i+1} - x_i)
+    and the finiteness check on each iterate happen here.
+    """
+    sched = make_schedule(N)
+    beta, gamma = sched.beta_coef, sched.gamma_coef
+    x = y = x0
+    for i in range(N):
+        y_next = gradient_step(i, x)
+        if y_next is None:
+            return None
+        x = y_next + beta[i] * (y_next - y) + gamma[i] * (y_next - x)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteError(f"iterate became non-finite at step {i + 1} of {N}")
+        y = y_next
+    return x
+
+
 def ogmg_run(
     oracle: CountingOracle,
     x0: Vector,
@@ -96,21 +119,15 @@ def ogmg_run(
     """
     if not math.isfinite(L) or L <= 0.0:
         raise ValueError(f"L must be positive and finite, got {L}")
-    sched = make_schedule(N)
-    beta, gamma = sched.beta_coef, sched.gamma_coef
     inv_L = 1.0 / L
-    x = as_vector(x0).copy()
-    y = x
-    for i in range(N):
+
+    def step(_i: int, x: Vector) -> Vector:
         g = oracle.gradient(x)
         if iterate_probe is not None:
             iterate_probe(x, g)
-        y_next = x - inv_L * g
-        x = y_next + beta[i] * (y_next - y) + gamma[i] * (y_next - x)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError(f"iterate became non-finite at step {i + 1} of {N}")
-        y = y_next
-    return x
+        return x - inv_L * g
+
+    return _momentum_pass(start_vector(oracle, x0), N, step)
 
 
 @dataclass(frozen=True)
@@ -133,7 +150,6 @@ def ogmgl_run(
     L_in: float,
     N: int,
     *,
-    reuse_start: bool = False,
     on_restart: Optional[RestartCallback] = None,
     step_probe: Optional[StepProbe] = None,
 ) -> OgmglOutcome:
@@ -145,53 +161,41 @@ def ogmgl_run(
 
     or L doubles and the whole pass restarts from x0 with the same budget
     (and the same schedule, which depends only on N). A single pass costs at
-    most N gradient and 2N value evaluations. By default the start point is
-    re-evaluated on every restart to keep counters equal to true oracle
-    work; reuse_start=True caches f(x0) and its gradient instead.
+    most N gradient and 2N value evaluations; the start point is evaluated
+    afresh on every pass, so counters equal true oracle work.
 
     Raises RunawayLipschitzError once the estimate exceeds L_in * 2**60.
     """
     if not math.isfinite(L_in) or L_in <= 0.0:
         raise ValueError(f"L_in must be positive and finite, got {L_in}")
-    sched = make_schedule(N)
-    beta, gamma = sched.beta_coef, sched.gamma_coef
-    x0 = as_vector(x0).copy()
+    x0 = start_vector(oracle, x0)
     L_hat = L_in / 2.0
     limit = L_in * 2.0**60
     restarts = 0
-    start_cache: Optional[tuple[float, Vector]] = None
+
+    def step(i: int, x: Vector) -> Optional[Vector]:
+        nonlocal L_hat, restarts
+        f_x = oracle.value(x)
+        g = oracle.gradient(x)
+        g_sq = float(np.dot(g, g))
+        y_next = x - g / L_hat
+        f_y = oracle.value(y_next)
+        if f_y > f_x - g_sq / (2.0 * L_hat):
+            restarts += 1
+            L_hat *= 2.0
+            if L_hat > limit or restarts > 62:
+                raise RunawayLipschitzError(
+                    f"smoothness estimate exceeded {L_in} * 2**60 after "
+                    f"{restarts} doublings; oracle looks non-smooth or inconsistent"
+                )
+            if on_restart is not None:
+                on_restart(x, math.sqrt(g_sq), f_x, L_hat)
+            return None
+        if step_probe is not None:
+            step_probe(i, f_x, g_sq, f_y, L_hat)
+        return y_next
+
     while True:
-        x = x0
-        y = x0
-        violated = False
-        for i in range(N):
-            if i == 0 and start_cache is not None:
-                f_x, g = start_cache
-            else:
-                f_x = oracle.value(x)
-                g = oracle.gradient(x)
-                if i == 0 and reuse_start:
-                    start_cache = (f_x, g)
-            g_sq = float(np.dot(g, g))
-            y_next = x - g / L_hat
-            f_y = oracle.value(y_next)
-            if f_y > f_x - g_sq / (2.0 * L_hat):
-                restarts += 1
-                L_hat *= 2.0
-                if L_hat > limit or restarts > 62:
-                    raise RunawayLipschitzError(
-                        f"smoothness estimate exceeded {L_in} * 2**60 after "
-                        f"{restarts} doublings; oracle looks non-smooth or inconsistent"
-                    )
-                if on_restart is not None:
-                    on_restart(x, math.sqrt(g_sq), f_x, L_hat)
-                violated = True
-                break
-            if step_probe is not None:
-                step_probe(i, f_x, g_sq, f_y, L_hat)
-            x = y_next + beta[i] * (y_next - y) + gamma[i] * (y_next - x)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteError(f"iterate became non-finite at step {i + 1} of {N}")
-            y = y_next
-        if not violated:
+        x = _momentum_pass(x0, N, step)
+        if x is not None:
             return OgmglOutcome(x_final=x, L_end=L_hat, inner_restarts=restarts)

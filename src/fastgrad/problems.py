@@ -62,14 +62,6 @@ class QuadraticProblem:
         )
 
 
-def quadratic_value_grad(p: QuadraticProblem, x: Vector) -> tuple[float, Vector]:
-    """Value and gradient of the quadratic at x."""
-    x = as_vector(x)
-    if x.size != p.dim:
-        raise ValueError(f"dimension mismatch: problem dim {p.dim}, x has {x.size}")
-    return float(0.5 * np.dot(p.diag, x * x)), p.diag * x
-
-
 @dataclass
 class LogRegProblem:
     """L2-regularized logistic loss over +-1 labels.
@@ -143,18 +135,6 @@ def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
 def _logreg_grad(p: LogRegProblem, w: Vector) -> Vector:
     s = _sigmoid_of_negative(_margins(p, w))
     return -(p.features.T @ (p.labels * s)) + p.reg * w
-
-
-def logreg_value_grad(p: LogRegProblem, w: Vector) -> tuple[float, Vector]:
-    """Value and gradient of the regularized logistic loss at w."""
-    w = as_vector(w)
-    if w.size != p.dim:
-        raise ValueError(f"dimension mismatch: problem dim {p.dim}, w has {w.size}")
-    z = _margins(p, w)
-    value = float(np.sum(np.logaddexp(0.0, -z)) + 0.5 * p.reg * np.dot(w, w))
-    s = _sigmoid_of_negative(z)
-    grad = -(p.features.T @ (p.labels * s)) + p.reg * w
-    return value, grad
 
 
 def gen_logreg(n_samples: int, n_features: int, reg: float, seed: int) -> LogRegProblem:

@@ -19,6 +19,7 @@ from fastgrad import (
     run_experiment,
     run_sweep,
 )
+from fastgrad import problems
 from fastgrad.bench import TRACE_HEADER, make_start, read_trace_csv
 from fastgrad.cli import main
 
@@ -157,6 +158,16 @@ class TestSweep:
     def test_invalid_values_rejected(self, tmp_path, values, message):
         with pytest.raises(ValueError, match=message):
             run_sweep(SweepSpec(base=self.base(tmp_path), axis="L", values=values))
+
+    def test_each_point_bounds_smoothness_once(self, tmp_path, monkeypatch):
+        calls = []
+        bound = problems.lipschitz_upper_bound
+        monkeypatch.setattr(problems, "lipschitz_upper_bound", lambda p: calls.append(p) or bound(p))
+        base = spec(tmp_path, method=MethodSpec(name="algm"), problem=LogRegSpec(30, 20, 1.0, 5),
+                    eps_rel=2.0**-10)
+        rows, _ = run_sweep(SweepSpec(base=base, axis="L0", values=(10.0, 100.0, 1000.0)))
+        assert len(rows) == 3
+        assert len(calls) == 3
 
     def test_non_quadratic_L_axis_aborts_before_running(self, tmp_path):
         base = spec(tmp_path, problem=LogRegSpec(10, 5, 1.0, 3))

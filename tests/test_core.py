@@ -14,7 +14,6 @@ from fastgrad import (
     acgm,
     algm,
     as_vector,
-    axpy,
     check_gradient,
     gen_logreg,
     norm2,
@@ -59,29 +58,6 @@ def test_norm2_triangle_inequality(pair):
     lhs = norm2(x + y)
     rhs = norm2(x) + norm2(y)
     assert lhs <= rhs * (1 + 1e-12) + 1e-12
-
-
-def test_axpy_zero_scalar():
-    assert np.array_equal(axpy(0.0, np.array([5.0, 5.0]), np.array([1.0, 2.0])), [1.0, 2.0])
-
-
-def test_axpy_unit_add():
-    assert np.array_equal(axpy(1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])), [1.0, 1.0])
-
-
-def test_axpy_cancellation():
-    assert np.array_equal(axpy(-2.0, np.array([1.0, 1.0]), np.array([2.0, 2.0])), [0.0, 0.0])
-
-
-def test_axpy_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        axpy(1.0, np.ones(2), np.ones(3))
-
-
-@given(vectors, st.floats(-1e3, 1e3, allow_nan=False))
-def test_axpy_matches_formula(x, a):
-    y = np.linspace(-1.0, 1.0, x.size)
-    assert np.allclose(axpy(a, x, y), a * x + y, rtol=1e-12, atol=0)
 
 
 def test_as_vector_rejects_non_finite():

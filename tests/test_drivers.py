@@ -18,6 +18,8 @@ from fastgrad import (
     lipschitz_upper_bound,
     norm2,
     ogmg_repeated,
+    ogmg_run,
+    ogmgl_run,
     ugm,
 )
 
@@ -39,6 +41,25 @@ def ill_run(mu0=None, kexp=20, x0=None, driver="acgm", L=1000.0, **cfg_kwargs):
     return result, oracle, cfg
 
 
+ENTRY_POINTS = {
+    "ogmg_run": lambda oracle, x0: ogmg_run(oracle, x0, 2.0, 3),
+    "ogmgl_run": lambda oracle, x0: ogmgl_run(oracle, x0, 2.0, 3),
+    "acgm": lambda oracle, x0: acgm(oracle, x0, 2.0, SolverConfig(epsilon=1e-6, L0=2.0)),
+    "algm": lambda oracle, x0: algm(oracle, x0, SolverConfig(epsilon=1e-6, L0=2.0)),
+    "ugm": lambda oracle, x0: ugm(oracle, x0, SolverConfig(epsilon=1e-6, L0=2.0)),
+    "ogmg_repeated": lambda oracle, x0: ogmg_repeated(oracle, x0, 2.0, 2.0, 1e-6),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_wrong_size_start(entry):
+    # a 3-vector would broadcast against the 1-d curvature and "converge"
+    oracle = CountingOracle(QuadraticProblem(diag=np.array([2.0])).objective())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ENTRY_POINTS[entry](oracle, np.ones(3))
+    assert oracle.grad_calls == oracle.value_calls == 0
+
+
 def outer_norms(result):
     return [e.grad_norm for e in result.trace.events if e.kind == EventKind.OUTER_STEP]
 
@@ -49,9 +70,10 @@ class TestSolverConfig:
         assert cfg.mu0 == 10.0
 
     def test_mu0_above_L0_clamps_with_warning(self):
-        with pytest.warns(UserWarning, match="clamping"):
+        with pytest.warns(UserWarning, match="clamping") as record:
             cfg = SolverConfig(epsilon=1.0, L0=10.0, mu0=100.0)
         assert cfg.mu0 == 10.0
+        assert record[0].filename == __file__  # reported at the caller, not the dataclass
 
     def test_mu_floor_default(self):
         cfg = SolverConfig(epsilon=1.0, L0=4.0, mu0=2.0)

@@ -80,22 +80,6 @@ def test_per_attempt_oracle_cost():
         prev_v, prev_g = v, g
 
 
-def test_reuse_start_saves_calls_and_matches():
-    p = QuadraticProblem(diag=np.array([1000.0, 0.1]))
-    x0 = np.array([1.0, 1.0])
-
-    fresh = CountingOracle(p.objective())
-    out_fresh = ogmgl_run(fresh, x0, 1.0, 6)
-    cached = CountingOracle(p.objective())
-    out_cached = ogmgl_run(cached, x0, 1.0, 6, reuse_start=True)
-
-    assert out_fresh.inner_restarts == out_cached.inner_restarts > 0
-    assert out_fresh.L_end == out_cached.L_end
-    assert np.array_equal(out_fresh.x_final, out_cached.x_final)
-    assert cached.grad_calls < fresh.grad_calls
-    assert cached.value_calls < fresh.value_calls
-
-
 def test_runaway_estimate_aborts():
     # value decreases along x while the reported gradient points up: the
     # sufficient-decrease test fails at every scale
