@@ -194,9 +194,8 @@ def _run_fixed_budget(
     return rec.result(converged)
 
 
-def _execute(spec: ExperimentSpec) -> tuple[DriverResult, CountingOracle, SolverConfig]:
-    validate_experiment(spec)
-    problem = build_problem(spec.problem)
+def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracle, SolverConfig]:
+    """Solve a validated experiment on problem, the instance built from spec.problem."""
     objective = problem.objective()
     oracle = CountingOracle(objective)
     x0 = make_start(spec.x0, problem.dim)
@@ -278,7 +277,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
     out.mkdir(parents=True, exist_ok=True)
 
     start_time = time.perf_counter()
-    result, oracle, cfg = _execute(spec)
+    validate_experiment(spec)
+    result, oracle, cfg = _execute(spec, build_problem(spec.problem))
     wall = time.perf_counter() - start_time
 
     trace_path = out / "trace.csv"
@@ -352,16 +352,19 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
         for value in values
         for rep in range(spec.repetitions)
     ]
+    built = {}  # one instance per distinct problem; points on the mu0/L0 axes share one
     for _, _, point in grid:  # abort before executing anything
         validate_experiment(point)
-        build_problem(point.problem)
+        if point.problem not in built:
+            built[point.problem] = build_problem(point.problem)
 
     out = Path(spec.base.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, rep, point in grid:
-        result, oracle, _ = _execute(point)
-        ratio = float(np.sqrt(oracle.inner.known_L / oracle.inner.known_mu))
+        problem = built[point.problem]
+        result, oracle, _ = _execute(point, problem)
+        ratio = float(np.sqrt(problem.known_L / problem.known_mu))
         rows.append(
             {
                 "axis_value": value,
@@ -404,6 +407,9 @@ def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]
             raise ValueError("compare experiments must share the problem")
         if other.x0 != first.x0:
             raise ValueError("compare experiments must share the start point")
+    for spec in specs:
+        validate_experiment(spec)
+    problem = build_problem(first.problem)
 
     labels: list[str] = []
     results: dict[str, DriverResult] = {}
@@ -412,7 +418,7 @@ def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]
         while label in results:
             label += "+"
         labels.append(label)
-        result, _, _ = _execute(spec)
+        result, _, _ = _execute(spec, problem)
         results[label] = result
 
     out = Path(first.output_dir)

@@ -50,17 +50,13 @@ def norm2(x: Vector) -> float:
 class Objective:
     """Black-box objective: a value and a gradient callable over R^dim.
 
-    known_L / known_mu / known_fstar carry analytic smoothness, strong
-    convexity and optimal-value information when the problem family
-    provides it; solvers never require them.
+    Analytic curvature constants stay on the problem that built the
+    objective (``known_L``, ``known_mu``); solvers never require them.
     """
 
     dim: int
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
-    known_L: Optional[float] = None
-    known_mu: Optional[float] = None
-    known_fstar: Optional[float] = None
 
 
 class CountingOracle:

@@ -56,9 +56,6 @@ class QuadraticProblem:
             dim=self.dim,
             value=lambda x: float(0.5 * np.dot(diag, x * x)),
             gradient=lambda x: diag * x,
-            known_L=self.known_L,
-            known_mu=self.known_mu,
-            known_fstar=0.0,
         )
 
 
@@ -104,6 +101,7 @@ class LogRegProblem:
 
     @cached_property
     def known_L(self) -> float:
+        """Smoothness upper bound; the power iteration runs on first read only."""
         return lipschitz_upper_bound(self)
 
     def objective(self) -> Objective:
@@ -111,8 +109,6 @@ class LogRegProblem:
             dim=self.dim,
             value=lambda w: _logreg_value(self, w),
             gradient=lambda w: _logreg_grad(self, w),
-            known_L=self.known_L,
-            known_mu=self.known_mu,
         )
 
 

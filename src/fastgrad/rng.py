@@ -12,6 +12,10 @@ pinned exactly rather than delegated to a platform library:
 * ``signs`` maps the top output bit to +1 (clear) or -1 (set).
 
 Any implementation following these rules reproduces the streams bit-for-bit.
+Large requests compute the integer stream and the uniforms in whole blocks of
+wrapping ``uint64`` arithmetic, which is exact, but still take log, cos and
+sin per element from ``math``: numpy's vectorised versions may round
+differently from the platform libm in the last bit.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+_VECTOR_MIN = 32  # below this many variates the per-draw loop is faster
+_BLOCK = 4096  # draws per vectorised block (even); bounds the scratch memory
 
 
 class SplitMix64:
@@ -45,7 +51,35 @@ class SplitMix64:
         return (self.u64() >> 11) * _INV_2_53
 
     def normals(self, count: int) -> np.ndarray:
-        """count standard normal variates via Box-Muller."""
+        """count standard normal variates via Box-Muller.
+
+        Small counts take the per-draw loop, larger ones whole blocks of
+        draws; both give the same values and leave the same state.
+        """
+        if count < _VECTOR_MIN:
+            return self._normals_per_draw(count)
+        out = np.empty(count)
+        for lo in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - lo)
+            z = self._u64_block(n + (n & 1))  # an odd tail still draws its whole pair
+            u1 = ((z[0::2] >> 11) + 1).astype(np.float64) * _INV_2_53  # (0, 1]
+            u2 = (z[1::2] >> 11).astype(np.float64) * _INV_2_53  # [0, 1)
+            r = np.sqrt(-2.0 * _per_element(math.log, u1))
+            angle = 2.0 * math.pi * u2
+            block = out[lo : lo + n]
+            block[0::2] = r * _per_element(math.cos, angle)
+            block[1::2] = (r * _per_element(math.sin, angle))[: n // 2]
+        return out
+
+    def signs(self, count: int) -> np.ndarray:
+        """count labels drawn uniformly from {-1.0, +1.0}."""
+        out = np.empty(count)
+        for lo in range(0, count, _BLOCK):
+            z = self._u64_block(min(_BLOCK, count - lo))
+            out[lo : lo + z.size] = np.where(z >> 63 == 0, 1.0, -1.0)
+        return out
+
+    def _normals_per_draw(self, count: int) -> np.ndarray:
         out = np.empty(count)
         pairs = (count + 1) // 2
         idx = 0
@@ -61,8 +95,19 @@ class SplitMix64:
                 idx += 1
         return out
 
-    def signs(self, count: int) -> np.ndarray:
-        """count labels drawn uniformly from {-1.0, +1.0}."""
-        return np.array(
-            [1.0 if (self.u64() >> 63) == 0 else -1.0 for _ in range(count)]
-        )
+    def _u64_block(self, n: int) -> np.ndarray:
+        """The next n outputs of u64() as a uint64 array, in wrapping arithmetic."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = int(z[-1])
+        z ^= z >> 30
+        z *= np.uint64(_MIX1)
+        z ^= z >> 27
+        z *= np.uint64(_MIX2)
+        z ^= z >> 31
+        return z
+
+
+def _per_element(f, a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, a.tolist()), np.float64, a.size)

@@ -15,11 +15,12 @@ from fastgrad import (
     StartSpec,
     SweepSpec,
     compare,
+    lipschitz_upper_bound,
     norm2,
     run_experiment,
     run_sweep,
 )
-from fastgrad import problems
+from fastgrad import bench, problems
 from fastgrad.bench import TRACE_HEADER, make_start, read_trace_csv
 from fastgrad.cli import main
 
@@ -167,7 +168,18 @@ class TestSweep:
                     eps_rel=2.0**-10)
         rows, _ = run_sweep(SweepSpec(base=base, axis="L0", values=(10.0, 100.0, 1000.0)))
         assert len(rows) == 3
-        assert len(calls) == 3
+        assert len(calls) == 1  # the three points share one instance, and it caches its bound
+
+    def test_shared_instance_generated_once(self, tmp_path, monkeypatch):
+        calls = []
+        gen = bench.gen_logreg
+        monkeypatch.setattr(bench, "gen_logreg", lambda *a: calls.append(a) or gen(*a))
+        base = spec(tmp_path, method=MethodSpec(name="algm"), problem=LogRegSpec(110, 100, 1.0, 42),
+                    eps_rel=2.0**-10)
+        rows, _ = run_sweep(SweepSpec(base=base, axis="L0", values=(10.0, 100.0, 1000.0)))
+        assert calls == [(110, 100, 1.0, 42)]
+        p = gen(110, 100, 1.0, 42)
+        assert {r["sqrt_L_over_mu"] for r in rows} == {float(np.sqrt(lipschitz_upper_bound(p) / 1.0))}
 
     def test_non_quadratic_L_axis_aborts_before_running(self, tmp_path):
         base = spec(tmp_path, problem=LogRegSpec(10, 5, 1.0, 3))
@@ -186,6 +198,18 @@ class TestCompare:
         assert set(results) == {"acgm", "algm"}
         header = path.read_text().splitlines()[0].split(",")
         assert header == ["acgm_grad_calls", "acgm_grad_norm", "algm_grad_calls", "algm_grad_norm"]
+
+    def test_shared_instance_generated_once(self, tmp_path, monkeypatch):
+        calls = []
+        gen = bench.gen_logreg
+        monkeypatch.setattr(bench, "gen_logreg", lambda *a: calls.append(a) or gen(*a))
+        specs = [
+            spec(tmp_path, method=MethodSpec(name=name), problem=LogRegSpec(30, 20, 1.0, 5),
+                 config=SolverConfig(epsilon=1.0, L0=100.0), eps_rel=2.0**-10)
+            for name in ("acgm", "algm")
+        ]
+        compare(specs)
+        assert calls == [(30, 20, 1.0, 5)]
 
     def test_mismatched_problems_rejected(self, tmp_path):
         specs = [

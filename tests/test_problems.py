@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,24 @@ from fastgrad import (
     load_logreg_csv,
     ogmgl_run,
 )
+from fastgrad import problems
+from fastgrad.rng import _BLOCK, _VECTOR_MIN
+
+
+def reference_normals(stream, count):
+    """Box-Muller on consecutive u64() pairs, one draw at a time, as rng.py documents."""
+    out = []
+    while len(out) < count:
+        u1 = ((stream.u64() >> 11) + 1) * 2.0**-53
+        u2 = (stream.u64() >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        angle = 2.0 * math.pi * u2
+        out += [r * math.cos(angle), r * math.sin(angle)]
+    return np.array(out[:count], dtype=np.float64)
+
+
+def reference_signs(stream, count):
+    return np.array([-1.0 if stream.u64() >> 63 else 1.0 for _ in range(count)], dtype=np.float64)
 
 
 def value_grad(problem, x):
@@ -141,6 +160,43 @@ class TestGeneration:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_benchmark_instance_digest(self):
+        # recorded from the per-draw generator before block generation existed
+        p = gen_logreg(300, 3000, 0.001, 42)
+        digest = hashlib.sha256(p.features.tobytes() + p.labels.tobytes()).hexdigest()
+        assert digest == "11c09c0da6340641d2c65dee35668f68d9133e6a431aa6b635e5d5993832232c"
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, 1, 2, 3, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1,
+         _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7],
+    )
+    def test_streams_match_per_draw_reference(self, count):
+        for draw, reference in (("normals", reference_normals), ("signs", reference_signs)):
+            stream, ref = SplitMix64(2024), SplitMix64(2024)
+            got = getattr(stream, draw)(count)
+            assert np.array_equal(got.view(np.uint64), reference(ref, count).view(np.uint64))
+            assert stream._state == ref._state
+
+    def test_interleaved_calls_match_per_draw_reference(self):
+        stream, ref = SplitMix64(99), SplitMix64(99)
+        for draw, reference, count in (
+            ("normals", reference_normals, _VECTOR_MIN + 1),
+            ("signs", reference_signs, 5),
+            ("normals", reference_normals, _BLOCK + 1),
+            ("signs", reference_signs, _BLOCK + 3),
+            ("normals", reference_normals, 3),
+        ):
+            got = getattr(stream, draw)(count)
+            assert np.array_equal(got.view(np.uint64), reference(ref, count).view(np.uint64))
+            assert stream._state == ref._state
+
+    def test_zero_normals_leave_state(self):
+        stream = SplitMix64(5)
+        before = stream._state
+        assert stream.normals(0).size == 0
+        assert stream._state == before
+
     def test_different_seeds_differ(self):
         a = gen_logreg(10, 5, reg=1.0, seed=42)
         b = gen_logreg(10, 5, reg=1.0, seed=43)
@@ -190,6 +246,16 @@ class TestCsvImport:
 
 
 class TestLipschitzBound:
+    def test_bound_computed_on_first_read_only(self, monkeypatch):
+        calls = []
+        bound = lipschitz_upper_bound
+        monkeypatch.setattr(problems, "lipschitz_upper_bound", lambda p: calls.append(p) or bound(p))
+        p = gen_logreg(30, 20, reg=1.0, seed=5)
+        p.objective()
+        assert calls == []
+        assert p.known_L == p.known_L == bound(p)
+        assert len(calls) == 1
+
     def test_identity_features(self):
         p = LogRegProblem(features=np.eye(2), labels=np.array([1.0, -1.0]), reg=1.0)
         assert lipschitz_upper_bound(p) == pytest.approx(1.25, rel=1e-6)
