@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CountingOracle, EventKind, RunTrace, TraceEvent, Vector, norm2
+from .core import CountingOracle, EventKind, RunTrace, Vector, norm2
 from .drivers import DriverResult, RunRecorder, SolverConfig, acgm, algm, ogmg_repeated, ugm
 from .ogmg import ogmg_run
 from .problems import QuadraticProblem, gen_logreg, load_logreg_csv
@@ -146,8 +148,8 @@ def validate_experiment(spec: ExperimentSpec) -> None:
             raise ValueError("ogmg_repeated needs positive L and mu")
     if spec.trace_values and spec.method.name != "ogmg":
         raise ValueError("trace_values instrumentation is only supported for method ogmg")
-    if spec.eps_rel is not None and spec.eps_rel <= 0:
-        raise ValueError(f"eps_rel must be positive, got {spec.eps_rel}")
+    if spec.eps_rel is not None and not (math.isfinite(spec.eps_rel) and spec.eps_rel > 0):
+        raise ValueError(f"eps_rel must be finite and positive, got {spec.eps_rel}")
 
 
 def _resolve_epsilon(spec: ExperimentSpec, objective, x0: Vector) -> SolverConfig:
@@ -218,50 +220,53 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
     return result, oracle, cfg
 
 
-def _fmt(value) -> str:
+def _solve_all(specs: list[ExperimentSpec]) -> Iterator[tuple]:
+    """Validate every spec, build each distinct problem once, then solve in order.
+
+    Nothing is generated or solved until every spec is valid. Yields
+    (problem, result, oracle, cfg) per spec, so a caller holds one result at a time.
+    """
+    for spec in specs:
+        validate_experiment(spec)
+    built = {}  # one instance per distinct problem; sweep points on the mu0/L0 axes share one
+    for spec in specs:
+        if spec.problem not in built:
+            built[spec.problem] = build_problem(spec.problem)
+    for spec in specs:
+        problem = built[spec.problem]
+        yield (problem, *_execute(spec, problem))
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
     return "" if value is None else str(value)
 
 
-def write_trace_csv(trace: RunTrace, path: Path) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write header and rows; None is an empty cell, booleans are true/false."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER.split(","))
-        for idx, ev in enumerate(trace.events):
-            writer.writerow(
-                [
-                    idx,
-                    ev.kind.value,
-                    ev.value_calls,
-                    ev.grad_calls,
-                    str(ev.grad_norm),
-                    _fmt(ev.f_value),
-                    _fmt(ev.mu_estimate),
-                    _fmt(ev.L_estimate),
-                ]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(value) for value in row])
 
 
-def read_trace_csv(path: Path) -> RunTrace:
-    trace = RunTrace()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_HEADER.split(","):
-            raise ValueError(f"unexpected trace header in {path}: {header}")
-        for row in reader:
-            _, kind, v_calls, g_calls, g_norm, f_val, mu_est, l_est = row
-            trace.events.append(
-                TraceEvent(
-                    value_calls=int(v_calls),
-                    grad_calls=int(g_calls),
-                    grad_norm=float(g_norm),
-                    f_value=float(f_val) if f_val else None,
-                    mu_estimate=float(mu_est) if mu_est else None,
-                    L_estimate=float(l_est) if l_est else None,
-                    kind=EventKind(kind),
-                )
-            )
-    return trace
+def write_trace_csv(trace: RunTrace, path: Path) -> None:
+    rows = (
+        [
+            idx,
+            ev.kind.value,
+            ev.value_calls,
+            ev.grad_calls,
+            ev.grad_norm,
+            ev.f_value,
+            ev.mu_estimate,
+            ev.L_estimate,
+        ]
+        for idx, ev in enumerate(trace.events)
+    )
+    _write_csv(path, TRACE_HEADER.split(","), rows)
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
@@ -273,14 +278,13 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
     """
     if spec.output_dir is None:
         raise ValueError("run_experiment requires output_dir")
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     start_time = time.perf_counter()
-    validate_experiment(spec)
-    result, oracle, cfg = _execute(spec, build_problem(spec.problem))
+    _, result, oracle, cfg = next(_solve_all([spec]))
     wall = time.perf_counter() - start_time
 
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
     write_trace_csv(result.trace, trace_path)
     summary = {
@@ -342,52 +346,33 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     values = tuple(float(v) for v in spec.values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    if any(v <= 0 for v in values):
-        raise ValueError("axis values must be strictly positive")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError("axis values must be finite and strictly positive")
     if list(values) != sorted(values) or len(set(values)) != len(values):
         raise ValueError("axis values must be sorted ascending without duplicates")
 
     grid = [
-        (value, rep, _sweep_point(spec.base, spec.axis, value, rep))
+        (value, _sweep_point(spec.base, spec.axis, value, rep))
         for value in values
         for rep in range(spec.repetitions)
     ]
-    built = {}  # one instance per distinct problem; points on the mu0/L0 axes share one
-    for _, _, point in grid:  # abort before executing anything
-        validate_experiment(point)
-        if point.problem not in built:
-            built[point.problem] = build_problem(point.problem)
-
-    out = Path(spec.base.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    solves = _solve_all([point for _, point in grid])
     rows = []
-    for value, rep, point in grid:
-        problem = built[point.problem]
-        result, oracle, _ = _execute(point, problem)
-        ratio = float(np.sqrt(problem.known_L / problem.known_mu))
+    for (value, _), (problem, result, oracle, _) in zip(grid, solves):
         rows.append(
             {
                 "axis_value": value,
-                "sqrt_L_over_mu": ratio,
+                "sqrt_L_over_mu": float(np.sqrt(problem.known_L / problem.known_mu)),
                 "total_grad_calls": oracle.grad_calls,
                 "total_value_calls": oracle.value_calls,
                 "converged": result.converged,
             }
         )
+    out = Path(spec.base.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    str(row["axis_value"]),
-                    str(row["sqrt_L_over_mu"]),
-                    row["total_grad_calls"],
-                    row["total_value_calls"],
-                    str(row["converged"]).lower(),
-                ]
-            )
+    header = SWEEP_HEADER.split(",")
+    _write_csv(path, header, ([row[name] for name in header] for row in rows))
     return rows, path
 
 
@@ -407,40 +392,24 @@ def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]
             raise ValueError("compare experiments must share the problem")
         if other.x0 != first.x0:
             raise ValueError("compare experiments must share the start point")
-    for spec in specs:
-        validate_experiment(spec)
-    problem = build_problem(first.problem)
 
-    labels: list[str] = []
     results: dict[str, DriverResult] = {}
-    for spec in specs:
+    for spec, (_, result, _, _) in zip(specs, _solve_all(specs)):
         label = spec.method.label().replace(":", "_").replace(",", "_")
         while label in results:
             label += "+"
-        labels.append(label)
-        result, _, _ = _execute(spec, problem)
         results[label] = result
 
     out = Path(first.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "compare.csv"
-    columns = {
-        label: [(ev.grad_calls, ev.grad_norm) for ev in results[label].trace.events]
-        for label in labels
-    }
-    depth = max(len(col) for col in columns.values())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [name for label in labels for name in (f"{label}_grad_calls", f"{label}_grad_norm")]
-        )
-        for i in range(depth):
-            row = []
-            for label in labels:
-                col = columns[label]
-                if i < len(col):
-                    row.extend([col[i][0], str(col[i][1])])
-                else:
-                    row.extend(["", ""])
-            writer.writerow(row)
+    columns = [
+        [(ev.grad_calls, ev.grad_norm) for ev in result.trace.events]
+        for result in results.values()
+    ]
+    rows = []
+    for pairs in zip_longest(*columns, fillvalue=(None, None)):
+        rows.append([value for pair in pairs for value in pair])
+    header = [name for label in results for name in (f"{label}_grad_calls", f"{label}_grad_norm")]
+    _write_csv(path, header, rows)
     return results, path

@@ -15,6 +15,8 @@ from pathlib import Path
 from typing import Optional
 
 from .bench import (
+    START_KINDS,
+    SWEEP_AXES,
     ExperimentSpec,
     LogRegCsvSpec,
     LogRegSpec,
@@ -134,7 +136,7 @@ def _add_common(sub: argparse.ArgumentParser, with_method: bool = True) -> None:
     sub.add_argument("--mu0", type=float, default=None, help="initial strong-convexity estimate (default: L0)")
     sub.add_argument("--l0", type=float, default=None, help="smoothness constant / initial estimate")
     sub.add_argument("--beta", type=float, default=4.0, help="estimate update factor (> 1)")
-    sub.add_argument("--x0", choices=("zeros", "ones", "gaussian"), default="gaussian")
+    sub.add_argument("--x0", choices=START_KINDS, default="gaussian")
     sub.add_argument("--seed", type=int, default=0, help="seed for the gaussian start point")
     sub.add_argument("--max-grad-calls", type=int, default=None, dest="max_grad_calls")
     sub.add_argument("--out", required=True, help="output directory")
@@ -155,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = subs.add_parser("sweep", help="run a one-axis grid of experiments")
     _add_common(sweep_p)
-    sweep_p.add_argument("--axis", required=True, choices=("L", "mu", "mu0", "L0"))
+    sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--values", required=True, help="comma-separated ascending positive values")
     sweep_p.add_argument("--reps", type=int, default=1)
 

@@ -17,6 +17,8 @@ from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
 
+_FD_STEP = 1e-6  # relative central-difference step of check_gradient
+
 
 class NonFiniteError(RuntimeError):
     """An oracle evaluation or iterate produced NaN or infinity."""
@@ -161,11 +163,11 @@ class RunTrace:
         )
 
 
-def check_gradient(obj: Objective, x: Vector, h: float = 1e-6) -> float:
+def check_gradient(obj: Objective, x: Vector) -> float:
     """Worst-coordinate relative error of the analytic gradient.
 
     Compares obj.gradient against central finite differences with the
-    per-coordinate step h*max(1, |x_i|). Errors are scaled by
+    per-coordinate step _FD_STEP*max(1, |x_i|). Errors are scaled by
     max(1, |analytic|, |difference|) so near-zero coordinates are judged
     absolutely.
     """
@@ -175,7 +177,7 @@ def check_gradient(obj: Objective, x: Vector, h: float = 1e-6) -> float:
         raise ValueError(f"gradient shape {g.shape} does not match x {x.shape}")
     worst = 0.0
     for i in range(x.size):
-        step = h * max(1.0, abs(float(x[i])))
+        step = _FD_STEP * max(1.0, abs(float(x[i])))
         xp = x.copy()
         xp[i] += step
         xm = x.copy()

@@ -18,6 +18,8 @@ from .core import Objective, Vector, as_vector
 from .rng import SplitMix64
 
 _POWER_ITER_SEED = 0x5EED
+_POWER_ITER_TOL = 1e-6  # relative stability of the Rayleigh quotient
+_POWER_ITER_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -27,10 +29,10 @@ class QuadraticProblem:
     diag: Vector
 
     def __post_init__(self):
-        diag = as_vector(self.diag)
-        if np.any(diag <= 0.0):
-            raise ValueError("all curvatures must be strictly positive")
-        diag = diag.copy()
+        diag = np.asarray(self.diag, dtype=np.float64)
+        if not np.all(np.isfinite(diag) & (diag > 0.0)):
+            raise ValueError("all curvatures must be finite and strictly positive")
+        diag = as_vector(diag).copy()
         diag.setflags(write=False)
         object.__setattr__(self, "diag", diag)
 
@@ -45,10 +47,6 @@ class QuadraticProblem:
     @property
     def known_mu(self) -> float:
         return float(self.diag.min())
-
-    @property
-    def known_fstar(self) -> float:
-        return 0.0
 
     def objective(self) -> Objective:
         diag = self.diag
@@ -156,13 +154,14 @@ def load_logreg_csv(path: str, reg: float) -> LogRegProblem:
     return LogRegProblem(features=data[:, :-1], labels=data[:, -1], reg=reg)
 
 
-def lipschitz_upper_bound(p: LogRegProblem, tol: float = 1e-6, max_iters: int = 10_000) -> float:
+def lipschitz_upper_bound(p: LogRegProblem) -> float:
     """Smoothness upper bound reg + lambda_max(X^T X) / 4 via power iteration.
 
     The logistic curvature factor never exceeds 1/4 per sample, so this
     bounds the largest Hessian eigenvalue everywhere. Power iteration runs
-    on v -> X^T (X v) until the Rayleigh quotient is stable to tol
-    (relative); a deterministic seeded start avoids adversarial alignments.
+    on v -> X^T (X v) until the Rayleigh quotient is stable to
+    _POWER_ITER_TOL (relative); a deterministic seeded start avoids
+    adversarial alignments.
     """
     X = p.features
     v = SplitMix64(_POWER_ITER_SEED).normals(p.dim)
@@ -172,14 +171,14 @@ def lipschitz_upper_bound(p: LogRegProblem, tol: float = 1e-6, max_iters: int = 
         nrm = math.sqrt(p.dim)
     v /= nrm
     lam_prev = -1.0
-    for _ in range(max_iters):
+    for _ in range(_POWER_ITER_MAX):
         w = X.T @ (X @ v)
         lam = float(np.dot(v, w))
         wnorm = float(np.linalg.norm(w))
         if wnorm == 0.0:
             return p.reg  # the generic start maps to zero only for a zero Gram matrix
         v = w / wnorm
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
+        if abs(lam - lam_prev) <= _POWER_ITER_TOL * max(abs(lam), 1e-300):
             return p.reg + 0.25 * lam
         lam_prev = lam
-    raise RuntimeError(f"power iteration did not converge within {max_iters} iterations")
+    raise RuntimeError(f"power iteration did not converge within {_POWER_ITER_MAX} iterations")

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from fastgrad import (
     run_sweep,
 )
 from fastgrad import bench, problems
-from fastgrad.bench import TRACE_HEADER, make_start, read_trace_csv
+from fastgrad.bench import TRACE_HEADER, make_start
 from fastgrad.cli import main
 
 ILL = QuadraticSpec(diag=(1000.0, 0.1))
@@ -40,6 +42,15 @@ def spec(tmp_path, method=MethodSpec(name="acgm"), problem=ILL, **kwargs):
     return ExperimentSpec(**defaults)
 
 
+def trace_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def optional_float(cell):
+    return float(cell) if cell else None
+
+
 class TestRunExperiment:
     def test_writes_trace_and_summary(self, tmp_path):
         result, trace_path = run_experiment(spec(tmp_path))
@@ -54,14 +65,23 @@ class TestRunExperiment:
 
     def test_trace_round_trips_losslessly(self, tmp_path):
         result, trace_path = run_experiment(spec(tmp_path, method=MethodSpec(name="algm")))
-        back = read_trace_csv(trace_path)
-        assert back.events == result.trace.events
+        rows = trace_rows(trace_path)
+        assert len(rows) == len(result.trace.events)
+        for idx, (row, ev) in enumerate(zip(rows, result.trace.events)):
+            assert int(row["event_index"]) == idx
+            assert EventKind(row["event_kind"]) == ev.kind
+            assert int(row["value_calls"]) == ev.value_calls
+            assert int(row["grad_calls"]) == ev.grad_calls
+            assert float(row["grad_norm"]) == ev.grad_norm
+            assert optional_float(row["f_value"]) == ev.f_value
+            assert optional_float(row["mu_estimate"]) == ev.mu_estimate
+            assert optional_float(row["L_estimate"]) == ev.L_estimate
 
     def test_final_row_matches_result(self, tmp_path):
         result, trace_path = run_experiment(spec(tmp_path))
-        last = read_trace_csv(trace_path).events[-1]
-        assert last.kind == EventKind.TERMINATED
-        assert last.grad_norm <= json.loads((tmp_path / "run" / "summary.json").read_text())["epsilon"]
+        last = trace_rows(trace_path)[-1]
+        assert EventKind(last["event_kind"]) == EventKind.TERMINATED
+        assert float(last["grad_norm"]) <= json.loads((tmp_path / "run" / "summary.json").read_text())["epsilon"]
 
     def test_eps_rel_resolution(self, tmp_path):
         result, _ = run_experiment(spec(tmp_path))
@@ -85,7 +105,7 @@ class TestRunExperiment:
         )
         result, trace_path = run_experiment(s)
         assert result.converged
-        norms = [e.grad_norm for e in read_trace_csv(trace_path).events]
+        norms = [float(row["grad_norm"]) for row in trace_rows(trace_path)]
         assert all(b <= 0.5 * a for a, b in zip(norms, norms[1:]))
 
     def test_fixed_budget_method_traces_every_iterate(self, tmp_path):
@@ -153,12 +173,19 @@ class TestSweep:
         assert rows[0]["sqrt_L_over_mu"] == rows[1]["sqrt_L_over_mu"]
 
     @pytest.mark.parametrize(
-        "values,message",
-        [((400.0, 100.0), "ascending"), ((100.0, 100.0), "ascending"), ((-1.0, 2.0), "positive"), ((), "at least one")],
+        "axis,values,message",
+        [  # explicit ids keep the names the cases had before the axis argument
+            pytest.param("L", (400.0, 100.0), "ascending", id="values0-ascending"),
+            pytest.param("L", (100.0, 100.0), "ascending", id="values1-ascending"),
+            pytest.param("L", (-1.0, 2.0), "positive", id="values2-positive"),
+            pytest.param("L", (), "at least one", id="values3-at least one"),
+            pytest.param("mu", (math.nan,), "positive", id="mu-nan-positive"),
+        ],
     )
-    def test_invalid_values_rejected(self, tmp_path, values, message):
+    def test_invalid_values_rejected(self, tmp_path, axis, values, message):
         with pytest.raises(ValueError, match=message):
-            run_sweep(SweepSpec(base=self.base(tmp_path), axis="L", values=values))
+            run_sweep(SweepSpec(base=self.base(tmp_path), axis=axis, values=values))
+        assert not (tmp_path / "run").exists()
 
     def test_each_point_bounds_smoothness_once(self, tmp_path, monkeypatch):
         calls = []
@@ -186,6 +213,29 @@ class TestSweep:
         with pytest.raises(ValueError, match="2-dim quadratic"):
             run_sweep(SweepSpec(base=base, axis="L", values=(10.0,)))
         assert not (tmp_path / "run" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+@pytest.mark.parametrize(
+    "invalid,message",
+    [(dict(method=MethodSpec(name="ogmg")), "step budget"), (dict(eps_rel=math.nan), "eps_rel")],
+    ids=["ogmg-without-n", "nan-eps-rel"],
+)
+def test_invalid_spec_aborts_before_anything_runs(tmp_path, monkeypatch, command, invalid, message):
+    calls = []
+    monkeypatch.setattr(bench, "gen_logreg", lambda *a: calls.append(a))
+    problem = LogRegSpec(30, 20, 1.0, 5)
+    valid = spec(tmp_path, problem=problem)
+    invalid = spec(tmp_path, problem=problem, **invalid)
+    with pytest.raises(ValueError, match=message):
+        if command == "run":
+            run_experiment(invalid)
+        elif command == "sweep":
+            run_sweep(SweepSpec(base=invalid, axis="L0", values=(10.0, 100.0)))
+        else:
+            compare([valid, invalid])
+    assert calls == []
+    assert not (tmp_path / "run").exists()
 
 
 class TestCompare:
@@ -256,6 +306,10 @@ class TestCli:
             ["run", "--problem", "quadratic:1,1", "--method", "acgm", "--out", "x"],
             ["run", "--problem", "quadratic:1,1", "--method", "acgm", "--eps", "1", "--eps-rel", "1", "--out", "x"],
             ["run", "--problem", "quadratic:1,1", "--unknown-flag", "1"],
+            ["run", "--problem", "quadratic:nan,1", "--method", "acgm", "--eps", "1", "--out", "x"],
+            ["run", "--problem", "quadratic:inf,1", "--method", "acgm", "--eps", "1", "--out", "x"],
+            ["sweep", "--problem", "quadratic:100,1", "--method", "acgm", "--eps", "1",
+             "--axis", "mu", "--values", "nan", "--out", "x"],
         ],
     )
     def test_invalid_specs_exit_one(self, argv, tmp_path, capsys):
@@ -269,6 +323,7 @@ class TestCli:
                 "--l0", "1", "--eps", "1e-8", "--x0", "ones", "--out", str(tmp_path / "o"),
             ])
         assert code == 3
+        assert not (tmp_path / "o").exists()
 
     def test_env_budget_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FASTGRAD_MAX_GRAD_CALLS", "20")

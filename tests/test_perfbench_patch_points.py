@@ -1,0 +1,50 @@
+"""The benchmark's traced pass wraps layers by the module globals callers look up.
+
+perfbench/spans.py patches names such as bench.build_problem and
+bench.write_trace_csv for the length of a traced pass. A refactor that renames
+one of them, or calls past it, would leave its per-layer metric at zero without
+failing anything; these runs make such a change fail here instead.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from fastgrad.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans")
+
+
+def traced(spans, argv):
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert main(argv) == 0
+    return spans.layer_metrics(tracer, bytes_out=0)
+
+
+def test_run_reaches_every_layer(spans, tmp_path):
+    metrics = traced(spans, [
+        "run", "--problem", "logreg:30,20,1.0,5", "--method", "algm",
+        "--l0", "100", "--eps-rel", "1e-6", "--out", str(tmp_path / "run"),
+    ])
+    assert metrics["problems.builds"] == 1
+    assert metrics["bench.write_trace_s"] > 0
+    assert metrics["drivers.solve_s"] > 0
+    assert metrics["drivers.attempts"] > 0
+
+
+def test_sweep_builds_each_point_once(spans, tmp_path):
+    metrics = traced(spans, [
+        "sweep", "--problem", "quadratic:100,1", "--method", "acgm", "--l0", "100",
+        "--eps-rel", "1e-5", "--axis", "L", "--values", "100,400", "--out", str(tmp_path / "sweep"),
+    ])
+    assert metrics["problems.builds"] == 2
+    assert metrics["drivers.solve_s"] > 0
+    assert metrics["drivers.attempts"] > 0

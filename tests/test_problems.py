@@ -49,7 +49,7 @@ class TestQuadratic:
         value, grad = value_grad(p, np.array([1.0, 1.0]))
         assert value == pytest.approx(500.05, rel=1e-15)
         assert np.allclose(grad, [1000.0, 0.1], rtol=1e-15)
-        assert p.known_L == 1000.0 and p.known_mu == 0.1 and p.known_fstar == 0.0
+        assert p.known_L == 1000.0 and p.known_mu == 0.1
 
     def test_minimizer(self):
         p = QuadraticProblem(diag=np.array([3.0, 7.0, 0.2]))
