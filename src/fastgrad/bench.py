@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .core import CountingOracle, EventKind, RunTrace, Vector, norm2
-from .drivers import DriverResult, RunRecorder, SolverConfig, acgm, algm, ogmg_repeated, ugm
+from .drivers import DriverResult, SolverConfig, acgm, algm, ogmg_repeated, ugm
 from .ogmg import ogmg_run
 from .problems import QuadraticProblem, gen_logreg, load_logreg_csv
 from .rng import SplitMix64
@@ -178,22 +178,21 @@ def _run_fixed_budget(
     Records one event per iterate; the final verification gradient is the
     harness's own evaluation, on top of the method's exact n.
     """
-    rec = RunRecorder(oracle, instrumented_values=trace_values)
+    result = DriverResult(oracle, instrumented_values=trace_values)
 
     def probe(x: Vector, g_vec: Vector) -> None:
         g = norm2(g_vec)
         f_val = oracle.value(x) if trace_values else None
-        rec.event(EventKind.OUTER_STEP, x, g, f_value=f_val, L_estimate=L)
+        result.event(EventKind.OUTER_STEP, x, g, f_value=f_val, L_estimate=L)
 
-    rec.trajectory.append(x0)
     x_final = ogmg_run(oracle, x0, L, n, iterate_probe=probe)
     g_final = norm2(oracle.gradient(x_final))
     f_final = oracle.value(x_final) if trace_values else None
     converged = g_final <= epsilon
     kind = EventKind.TERMINATED if converged else EventKind.OUTER_STEP
-    rec.trajectory.append(x_final)
-    rec.event(kind, x_final, g_final, f_value=f_final, L_estimate=L)
-    return rec.result(converged)
+    result.accepted_points = 2  # x0 and x_final
+    result.event(kind, x_final, g_final, f_value=f_final, L_estimate=L)
+    return result.finish(converged)
 
 
 def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracle, SolverConfig]:
@@ -299,7 +298,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
         "final_grad_norm": result.trace.events[-1].grad_norm,
         "best_grad_norm": result.best_grad_norm,
         "events": len(result.trace.events),
-        "accepted_points": len(result.trajectory),
+        "accepted_points": result.accepted_points,
         "instrumented_values": result.trace.instrumented_values,
         "wall_time_s": wall,
     }
@@ -319,12 +318,12 @@ def _sweep_point(base: ExperimentSpec, axis: str, value: float, rep: int) -> Exp
         diag = (value, problem.diag[1]) if axis == "L" else (problem.diag[0], value)
         problem = QuadraticSpec(diag=diag)
         # the solver is granted the instance's true smoothness constant;
-        # mu0 and the mu floor re-derive from it
-        cfg = replace(cfg, L0=max(diag), mu0=None, mu_floor=None)
+        # mu0 re-derives from it
+        cfg = replace(cfg, L0=max(diag), mu0=None)
     elif axis == "mu0":
-        cfg = replace(cfg, mu0=value, mu_floor=None)
+        cfg = replace(cfg, mu0=value)
     elif axis == "L0":
-        cfg = replace(cfg, L0=value, mu0=None, mu_floor=None)
+        cfg = replace(cfg, L0=value, mu0=None)
     else:
         raise ValueError(f"unknown sweep axis {axis!r} (expected one of {SWEEP_AXES})")
     x0 = base.x0

@@ -202,6 +202,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             summary_line(result.converged, trace_path)
             return 0 if result.converged else 2
         if args.command == "sweep":
+            if args.mu0 is not None:
+                raise ValueError("sweep sets mu0 per grid point; sweep it with --axis mu0")
             values = tuple(float(v) for v in args.values.split(","))
             sweep = SweepSpec(
                 base=_experiment(args), axis=args.axis, values=values, repetitions=args.reps

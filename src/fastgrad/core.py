@@ -141,27 +141,6 @@ class RunTrace:
     events: list[TraceEvent] = field(default_factory=list)
     instrumented_values: bool = False
 
-    def record(
-        self,
-        oracle: CountingOracle,
-        kind: EventKind,
-        grad_norm: float,
-        f_value: Optional[float] = None,
-        mu_estimate: Optional[float] = None,
-        L_estimate: Optional[float] = None,
-    ) -> None:
-        self.events.append(
-            TraceEvent(
-                value_calls=oracle.value_calls,
-                grad_calls=oracle.grad_calls,
-                grad_norm=float(grad_norm),
-                f_value=f_value,
-                mu_estimate=mu_estimate,
-                L_estimate=L_estimate,
-                kind=kind,
-            )
-        )
-
 
 def check_gradient(obj: Objective, x: Vector) -> float:
     """Worst-coordinate relative error of the analytic gradient.

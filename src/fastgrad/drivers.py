@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import CountingOracle, EventKind, RunTrace, Vector, norm2, start_vector
+from .core import CountingOracle, EventKind, RunTrace, TraceEvent, Vector, norm2, start_vector
 from .ogmg import RunawayLipschitzError, halving_budget, ogmg_run, ogmgl_run
 
 log = logging.getLogger(__name__)
@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 # An attempt maps (restart point, working mu) to
 # (candidate, mu after any rescaling, L estimate attached to the candidate).
 AttemptFn = Callable[[Vector, float], tuple[Vector, float, float]]
+
+_MU_FLOOR_RATIO = 1e-30  # the working mu never drops below this fraction of mu0
 
 
 class DivergenceError(RuntimeError):
@@ -36,8 +38,8 @@ class SolverConfig:
     epsilon is the target gradient norm. mu0 defaults to L0, the choice that
     makes the strong-convexity adaptation monotone; it is clamped to L0 with
     a warning if set higher. beta > 1 is the estimate update factor (4 is
-    optimal for the worst case). mu_floor defaults to 1e-30 * mu0 and, with
-    max_retries_per_step, bounds the retry loop on objectives where the
+    optimal for the worst case). max_retries_per_step and the working-mu floor
+    _MU_FLOOR_RATIO * mu0 bound the retry loop on objectives where the
     halving test never passes.
     """
 
@@ -47,7 +49,6 @@ class SolverConfig:
     beta: float = 4.0
     max_grad_calls: int = 10_000_000
     max_retries_per_step: int = 60
-    mu_floor: Optional[float] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -70,55 +71,55 @@ class SolverConfig:
                 stacklevel=3,  # past the generated __init__ to its caller
             )
             self.mu0 = self.L0
-        if self.mu_floor is None:
-            self.mu_floor = 1e-30 * self.mu0
-        if self.mu_floor <= 0.0:
-            raise ValueError("mu_floor must be positive")
 
 
-@dataclass
 class DriverResult:
-    """Outcome of one driver run.
+    """Record of one driver run, which the driver fills in as it goes.
 
-    trajectory holds the accepted outer points; rejected attempts appear in
-    the trace as retry events. best_point is the point of minimal observed
-    gradient norm over all trace events, which matters for the smoothness-
-    adaptive method whose convergence is non-monotone.
-    """
-
-    trajectory: list[Vector]
-    trace: RunTrace
-    converged: bool
-    best_point: Vector
-    best_grad_norm: float
-
-
-class RunRecorder:
-    """Trace, best point and accepted trajectory of one driver run.
-
-    Every trace row goes through event(), which also keeps the point of
-    minimal gradient norm seen so far; drivers append accepted points to
-    trajectory themselves. result() packs the three into a DriverResult.
+    event() appends a trace row, reading the counters from the oracle, and
+    keeps best_point, the point of minimal observed gradient norm over all
+    trace events (the smoothness-adaptive method converges non-monotonically).
+    accepted_points counts the accepted outer points, the start included;
+    rejected attempts appear in the trace as retry events. finish() sets
+    converged. Apart from the trace rows, a run keeps O(dim) memory.
     """
 
     def __init__(self, oracle: CountingOracle, instrumented_values: bool = False):
-        self.oracle = oracle
+        self._oracle = oracle
         self.trace = RunTrace(instrumented_values=instrumented_values)
-        self.trajectory: list[Vector] = []
+        self.accepted_points = 0
+        self.converged = False
         self.best_point: Optional[Vector] = None
         self.best_grad_norm = math.inf
 
-    def event(self, kind: EventKind, x: Vector, grad_norm: float, **estimates) -> None:
-        self.trace.record(self.oracle, kind, grad_norm, **estimates)
+    def event(
+        self,
+        kind: EventKind,
+        x: Vector,
+        grad_norm: float,
+        f_value: Optional[float] = None,
+        mu_estimate: Optional[float] = None,
+        L_estimate: Optional[float] = None,
+    ) -> None:
+        self.trace.events.append(
+            TraceEvent(
+                value_calls=self._oracle.value_calls,
+                grad_calls=self._oracle.grad_calls,
+                grad_norm=float(grad_norm),
+                f_value=f_value,
+                mu_estimate=mu_estimate,
+                L_estimate=L_estimate,
+                kind=kind,
+            )
+        )
         if grad_norm < self.best_grad_norm:
             self.best_grad_norm = grad_norm
             self.best_point = x
 
-    def result(self, converged: bool) -> DriverResult:
+    def finish(self, converged: bool) -> DriverResult:
         assert self.best_point is not None
-        return DriverResult(
-            self.trajectory, self.trace, converged, self.best_point, self.best_grad_norm
-        )
+        self.converged = converged
+        return self
 
 
 def _adaptive_restarts(
@@ -127,25 +128,26 @@ def _adaptive_restarts(
     cfg: SolverConfig,
     run_attempt: AttemptFn,
     L_initial: float,
-    rec: RunRecorder,
+    res: DriverResult,
 ) -> DriverResult:
     """Shared outer loop: multiply mu by beta, attempt, demand a halved
     gradient norm; on failure divide mu by beta and retry, adopting a
     strictly better rejected point as the new restart point."""
     x_ref = start_vector(oracle, x0)
     g_ref = norm2(oracle.gradient(x_ref))
-    rec.trajectory.append(x_ref)
+    res.accepted_points += 1
     if g_ref > cfg.epsilon:
-        rec.event(EventKind.OUTER_STEP, x_ref, g_ref, mu_estimate=cfg.mu0, L_estimate=L_initial)
+        res.event(EventKind.OUTER_STEP, x_ref, g_ref, mu_estimate=cfg.mu0, L_estimate=L_initial)
 
     mu_prev = cfg.mu0
+    mu_floor = _MU_FLOOR_RATIO * cfg.mu0
     L_last = L_initial
     while True:
         if g_ref <= cfg.epsilon:
-            rec.event(EventKind.TERMINATED, x_ref, g_ref, mu_estimate=mu_prev, L_estimate=L_last)
-            return rec.result(True)
+            res.event(EventKind.TERMINATED, x_ref, g_ref, mu_estimate=mu_prev, L_estimate=L_last)
+            return res.finish(True)
         if oracle.grad_calls >= cfg.max_grad_calls:
-            return rec.result(False)
+            return res.finish(False)
         mu_work = cfg.beta * mu_prev
         retries = 0
         step_start = x_ref
@@ -153,28 +155,28 @@ def _adaptive_restarts(
             cand, mu_work, L_last = run_attempt(x_ref, mu_work)
             g_cand = norm2(oracle.gradient(cand))
             if g_cand <= 0.5 * g_ref:
-                rec.trajectory.append(cand)
-                rec.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
+                res.accepted_points += 1
+                res.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
                 x_ref, g_ref = cand, g_cand
                 mu_prev = mu_work
                 break
-            rec.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
+            res.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
             mu_work /= cfg.beta
             if g_cand < g_ref:
                 x_ref, g_ref = cand, g_cand  # adopt the improved restart point
             retries += 1
             if oracle.grad_calls >= cfg.max_grad_calls:
-                return rec.result(False)
-            if retries >= cfg.max_retries_per_step or mu_work < cfg.mu_floor:
+                return res.finish(False)
+            if retries >= cfg.max_retries_per_step or mu_work < mu_floor:
                 log.warning(
                     "halving test failed %d times (working mu %.3e); accepting the "
                     "best point of this step and moving on",
                     retries,
                     mu_work,
                 )
-                mu_prev = max(mu_work, cfg.mu_floor)
+                mu_prev = max(mu_work, mu_floor)
                 if x_ref is not step_start:
-                    rec.trajectory.append(x_ref)
+                    res.accepted_points += 1
                 break
 
 
@@ -191,7 +193,7 @@ def acgm(oracle: CountingOracle, x0: Vector, L: float, cfg: SolverConfig) -> Dri
         n = halving_budget(L, mu_work)
         return ogmg_run(oracle, x_ref, L, n), mu_work, L
 
-    return _adaptive_restarts(oracle, x0, cfg, attempt, L, RunRecorder(oracle))
+    return _adaptive_restarts(oracle, x0, cfg, attempt, L, DriverResult(oracle))
 
 
 def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
@@ -203,11 +205,11 @@ def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     L/mu (hence the budget) survives the estimate change. Inner estimate
     doublings surface in the trace as inner_restart events.
     """
-    rec = RunRecorder(oracle)
+    res = DriverResult(oracle)
     state = {"L": cfg.L0, "mu": cfg.mu0}
 
     def on_restart(x_bad: Vector, g_norm: float, f_bad: float, L_new: float) -> None:
-        rec.event(
+        res.event(
             EventKind.INNER_RESTART,
             x_bad,
             g_norm,
@@ -226,7 +228,7 @@ def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
         state["mu"] = mu_next
         return out.x_final, mu_next, out.L_end
 
-    return _adaptive_restarts(oracle, x0, cfg, attempt, cfg.L0, rec)
+    return _adaptive_restarts(oracle, x0, cfg, attempt, cfg.L0, res)
 
 
 def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
@@ -238,22 +240,22 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     per-probe cost is a single value evaluation.
     """
     x = start_vector(oracle, x0)
-    rec = RunRecorder(oracle)
+    res = DriverResult(oracle)
     f_x = None  # the start value is evaluated only once the start is known not to stop
     L_cur = cfg.L0
     limit = cfg.L0 * 2.0**60
     while True:
         g_vec = oracle.gradient(x)
         g = norm2(g_vec)
-        rec.trajectory.append(x)
+        res.accepted_points += 1
         if g <= cfg.epsilon:
-            rec.event(EventKind.TERMINATED, x, g, f_value=f_x, L_estimate=L_cur)
-            return rec.result(True)
+            res.event(EventKind.TERMINATED, x, g, f_value=f_x, L_estimate=L_cur)
+            return res.finish(True)
         if f_x is None:
             f_x = oracle.value(x)
-        rec.event(EventKind.OUTER_STEP, x, g, f_value=f_x, L_estimate=L_cur)
+        res.event(EventKind.OUTER_STEP, x, g, f_value=f_x, L_estimate=L_cur)
         if oracle.grad_calls >= cfg.max_grad_calls:
-            return rec.result(False)
+            return res.finish(False)
         L_cur /= 2.0
         while True:  # double until sufficient decrease holds
             cand = x - g_vec / L_cur
@@ -291,16 +293,16 @@ def ogmg_repeated(
 
     x = start_vector(oracle, x0)
     n = halving_budget(L, mu)
-    rec = RunRecorder(oracle)
+    res = DriverResult(oracle)
     g0 = g = norm2(oracle.gradient(x))
     while True:
-        rec.trajectory.append(x)
+        res.accepted_points += 1
         if g <= epsilon:
-            rec.event(EventKind.TERMINATED, x, g, mu_estimate=mu, L_estimate=L)
-            return rec.result(True)
-        rec.event(EventKind.OUTER_STEP, x, g, mu_estimate=mu, L_estimate=L)
+            res.event(EventKind.TERMINATED, x, g, mu_estimate=mu, L_estimate=L)
+            return res.finish(True)
+        res.event(EventKind.OUTER_STEP, x, g, mu_estimate=mu, L_estimate=L)
         if oracle.grad_calls >= max_grad_calls:
-            return rec.result(False)
+            return res.finish(False)
         x = ogmg_run(oracle, x, L, n)
         g = norm2(oracle.gradient(x))
         if g > 1e6 * g0:

@@ -87,7 +87,10 @@ def _momentum_pass(x0: Vector, N: int, gradient_step: GradientStep) -> Optional[
 
     gradient_step(i, x_i) returns the gradient point y_{i+1}; the momentum
     update x_{i+1} = y_{i+1} + beta_i (y_{i+1} - y_i) + gamma_i (y_{i+1} - x_i)
-    and the finiteness check on each iterate happen here.
+    happens here. Finiteness is checked once, on the returned iterate: as
+    gamma_i > 0, an infinite iterate becomes NaN within one step (y - x is
+    inf - inf) and NaN persists through the recurrence. The oracle rejects
+    non-finite values and gradients at every call.
     """
     sched = make_schedule(N)
     beta, gamma = sched.beta_coef, sched.gamma_coef
@@ -97,9 +100,9 @@ def _momentum_pass(x0: Vector, N: int, gradient_step: GradientStep) -> Optional[
         if y_next is None:
             return None
         x = y_next + beta[i] * (y_next - y) + gamma[i] * (y_next - x)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError(f"iterate became non-finite at step {i + 1} of {N}")
         y = y_next
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError(f"iterate became non-finite during a pass of {N} steps")
     return x
 
 

@@ -325,6 +325,29 @@ class TestCli:
         assert code == 3
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("method", ["ogmg:3", "acgm", "algm"])
+    def test_non_finite_iterate_exit_three(self, tmp_path, method):
+        # step size 1e200 on curvature 1e200 overflows the first iterate
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "run", "--problem", "quadratic:1e200,1", "--method", method, "--l0", "1e-200",
+                "--x0", "ones", "--eps", "1e-8", "--out", str(tmp_path / "o"),
+            ])
+        assert code == 3
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("axis,values", [("L", "100,400"), ("mu", "1,2"), ("mu0", "1,2"), ("L0", "100,400")])
+    def test_sweep_rejects_mu0(self, tmp_path, capsys, axis, values):
+        # every axis re-derives or overwrites mu0 per grid point, so --mu0 would be ignored
+        code = main([
+            "sweep", "--problem", "quadratic:100,1", "--method", "acgm", "--l0", "100",
+            "--eps-rel", "1e-5", "--mu0", "0.5", "--axis", axis, "--values", values,
+            "--out", str(tmp_path / "s"),
+        ])
+        assert code == 1
+        assert "--axis mu0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_env_budget_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FASTGRAD_MAX_GRAD_CALLS", "20")
         code = main([

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,9 +76,10 @@ class TestSolverConfig:
         assert cfg.mu0 == 10.0
         assert record[0].filename == __file__  # reported at the caller, not the dataclass
 
-    def test_mu_floor_default(self):
-        cfg = SolverConfig(epsilon=1.0, L0=4.0, mu0=2.0)
-        assert cfg.mu_floor == pytest.approx(2e-30)
+    def test_tiny_L0_constructs(self):
+        # mu0 = L0 = 1e-300 is valid; any floor derived from it would underflow
+        cfg = SolverConfig(epsilon=1.0, L0=1e-300)
+        assert cfg.mu0 == 1e-300
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -100,7 +102,7 @@ class TestAcgm:
         cfg = SolverConfig(epsilon=1e-6, L0=1000.0)
         result = acgm(oracle, np.zeros(2), 1000.0, cfg)
         assert result.converged
-        assert len(result.trajectory) == 1
+        assert result.accepted_points == 1
         assert oracle.grad_calls == 1 and oracle.value_calls == 0
         assert len(result.trace.events) == 1
         assert result.trace.events[0].kind == EventKind.TERMINATED
@@ -115,7 +117,7 @@ class TestAcgm:
     def test_accepted_steps_bounded_by_K(self):
         result, _, cfg = ill_run(kexp=20)
         # each accepted step at least halves, so at most K accepted moves
-        assert len(result.trajectory) - 1 <= 20
+        assert result.accepted_points - 1 <= 20
 
     def test_retry_mu_sequence_is_geometric(self):
         result, _, cfg = ill_run(mu0=1000.0)
@@ -175,7 +177,7 @@ class TestUgm:
         oracle = CountingOracle(p.objective())
         result = ugm(oracle, np.array([4.0]), SolverConfig(epsilon=1e-12, L0=1.0))
         assert result.converged
-        assert result.trajectory[-1][0] == 0.0
+        assert result.best_point[0] == 0.0
         assert oracle.value_calls == 3
         assert oracle.grad_calls == 2
 
@@ -197,7 +199,7 @@ class TestAlgm:
         oracle = CountingOracle(ILL.objective())
         result = algm(oracle, np.zeros(2), SolverConfig(epsilon=1e-9, L0=123.0))
         assert result.converged
-        assert len(result.trajectory) == 1
+        assert result.accepted_points == 1
         assert oracle.grad_calls == 1 and oracle.value_calls == 0
 
     def test_converges_from_overestimate_and_brackets_L(self):
@@ -268,3 +270,29 @@ class TestRepeated:
         oracle = CountingOracle(ILL.objective())
         result = ogmg_repeated(oracle, np.zeros(2), 1000.0, 0.1, 1e-6)
         assert result.converged and len(result.trace.events) == 1
+
+
+MEMORY_DRIVERS = {
+    "ugm": ugm,
+    "acgm": lambda oracle, x0, cfg: acgm(oracle, x0, cfg.L0, cfg),
+    "algm": algm,
+    "ogmg_repeated": lambda oracle, x0, cfg: ogmg_repeated(
+        oracle, x0, cfg.L0, 1.0, cfg.epsilon, max_grad_calls=cfg.max_grad_calls
+    ),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(MEMORY_DRIVERS))
+def test_memory_does_not_grow_with_steps(driver):
+    # 2000 gradients on dim 1000: keeping every accepted ugm point would take 16 MB
+    oracle = CountingOracle(QuadraticProblem(diag=np.geomspace(1.0, 1e4, 1000)).objective())
+    cfg = SolverConfig(epsilon=1e-12, L0=1e4, max_grad_calls=2000)
+    x0 = np.ones(1000)
+    tracemalloc.start()
+    try:
+        result = MEMORY_DRIVERS[driver](oracle, x0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not result.converged and oracle.grad_calls >= 2000
+    assert peak < 2_000_000

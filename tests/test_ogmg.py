@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import sample_quadratic
 from fastgrad import (
     CountingOracle,
+    NonFiniteError,
+    Objective,
     QuadraticProblem,
     halving_budget,
     make_schedule,
@@ -188,3 +190,12 @@ def test_iterate_probe_sees_every_iterate():
     first_x, first_g = seen[0]
     assert np.array_equal(first_x, [1.0, 1.0])
     assert np.array_equal(first_g, [2.0, 1.0])
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_non_finite_iterate_aborts(N):
+    # a constant gradient never sees the iterate, so only the pass's own check can stop it
+    c = np.array([1e300])
+    flat = Objective(dim=1, value=lambda x: float(c @ x), gradient=lambda x: c)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        ogmg_run(CountingOracle(flat), np.zeros(1), 1e-10, N)

@@ -48,3 +48,21 @@ def test_sweep_builds_each_point_once(spans, tmp_path):
     assert metrics["problems.builds"] == 2
     assert metrics["drivers.solve_s"] > 0
     assert metrics["drivers.attempts"] > 0
+
+
+def test_compare_counts_accepted_points_of_every_driver(spans, tmp_path):
+    metrics = traced(spans, [
+        "compare", "--problem", "quadratic:1000.0,0.1", "--seed", "7", "--eps-rel", "1e-6",
+        "--l0", "1000", "--spec", "acgm", "--spec", "algm;l0=5", "--spec", "ugm",
+        "--spec", "ogmg_repeated:1000,0.1", "--out", str(tmp_path / "cmp"),
+    ])
+    assert metrics["drivers.attempts"] > 0
+    assert metrics["drivers.accept_ratio"] > 0
+
+
+def test_fixed_budget_run_counts_its_steps(spans, tmp_path):
+    metrics = traced(spans, [
+        "run", "--problem", "quadratic:1000.0,0.1", "--method", "ogmg:40", "--l0", "1000",
+        "--eps-rel", "0.5", "--seed", "7", "--out", str(tmp_path / "run"),
+    ])
+    assert metrics["ogmg.ogmg_run.steps"] == 40
