@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CountingOracle, EventKind, RunTrace, Vector, norm2
+from .core import DEFAULT_MAX_GRAD_CALLS, CountingOracle, EventKind, RunTrace, Vector, norm2
 from .drivers import DriverResult, SolverConfig, acgm, algm, ogmg_repeated, ugm
 from .ogmg import ogmg_run
 from .problems import QuadraticProblem, gen_logreg, load_logreg_csv
@@ -103,6 +103,7 @@ class ExperimentSpec:
     output_dir: Optional[Path] = None
     eps_rel: Optional[float] = None  # when set, epsilon = eps_rel * |grad f(x0)|
     trace_values: bool = False  # per-iterate value instrumentation (ogmg only)
+    max_grad_calls: int = DEFAULT_MAX_GRAD_CALLS  # hard cap, enforced by the oracle
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,15 @@ def validate_experiment(spec: ExperimentSpec) -> None:
         raise ValueError(f"unknown method {spec.method.name!r} (expected one of {METHODS})")
     if spec.x0.kind not in START_KINDS:
         raise ValueError(f"unknown start kind {spec.x0.kind!r}")
+    if spec.max_grad_calls < 1:
+        raise ValueError(f"max_grad_calls must be >= 1, got {spec.max_grad_calls}")
     if spec.method.name == "ogmg":
         if spec.method.n is None or spec.method.n < 1:
             raise ValueError("method ogmg requires a step budget n >= 1")
+        if spec.method.n + 1 > spec.max_grad_calls:
+            raise ValueError(
+                f"ogmg:{spec.method.n} needs n + 1 gradients, over max_grad_calls {spec.max_grad_calls}"
+            )
     if spec.method.name == "ogmg_repeated":
         if spec.method.L is None or spec.method.mu is None:
             raise ValueError("method ogmg_repeated requires explicit L and mu")
@@ -199,15 +206,14 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
     """Solve a validated experiment on problem, the instance built from spec.problem."""
     objective = problem.objective()
     oracle = CountingOracle(objective)
+    oracle.max_grad_calls = spec.max_grad_calls
     x0 = make_start(spec.x0, problem.dim)
     cfg = _resolve_epsilon(spec, objective, x0)
     m = spec.method
     if m.name == "ogmg":
         result = _run_fixed_budget(oracle, x0, cfg.L0, m.n, cfg.epsilon, spec.trace_values)
     elif m.name == "ogmg_repeated":
-        result = ogmg_repeated(
-            oracle, x0, m.L, m.mu, cfg.epsilon, max_grad_calls=cfg.max_grad_calls
-        )
+        result = ogmg_repeated(oracle, x0, m.L, m.mu, cfg.epsilon)
     elif m.name == "acgm":
         result = acgm(oracle, x0, cfg.L0, cfg)
     elif m.name == "algm":

@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 1 invalid specification, 2 budget exhausted before
 reaching the target, 3 oracle abort (non-finite values, runaway smoothness
-estimate, divergence). The environment variable FASTGRAD_MAX_GRAD_CALLS
-overrides the gradient-call safety budget for every command.
+estimate, divergence).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -28,9 +26,8 @@ from .bench import (
     run_experiment,
     run_sweep,
 )
+from .core import DEFAULT_MAX_GRAD_CALLS
 from .drivers import SolverConfig
-
-ENV_BUDGET = "FASTGRAD_MAX_GRAD_CALLS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,18 +78,6 @@ def parse_method(text: str) -> MethodSpec:
     )
 
 
-def _budget(flag_value: Optional[int]) -> int:
-    env = os.environ.get(ENV_BUDGET)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
-    if flag_value is not None:
-        return flag_value
-    return 10_000_000
-
-
 def _config(args, method: MethodSpec) -> tuple[SolverConfig, Optional[float]]:
     if args.eps is None and args.eps_rel is None:
         raise ValueError("one of --eps or --eps-rel is required")
@@ -100,15 +85,15 @@ def _config(args, method: MethodSpec) -> tuple[SolverConfig, Optional[float]]:
         raise ValueError("--eps and --eps-rel are mutually exclusive")
     l0 = args.l0
     if l0 is None:
-        if method.name == "ogmg":
-            raise ValueError("method ogmg requires an explicit --l0")
+        # ogmg and acgm trust L0 as the true smoothness constant; the others adapt it
+        if method.name in ("ogmg", "acgm"):
+            raise ValueError(f"method {method.name} requires an explicit --l0")
         l0 = 1.0
     cfg = SolverConfig(
         epsilon=args.eps if args.eps is not None else 1.0,  # replaced when eps_rel is set
         L0=l0,
         mu0=args.mu0,
         beta=args.beta,
-        max_grad_calls=_budget(args.max_grad_calls),
     )
     return cfg, args.eps_rel
 
@@ -124,6 +109,7 @@ def _experiment(args) -> ExperimentSpec:
         output_dir=Path(args.out),
         eps_rel=eps_rel,
         trace_values=getattr(args, "trace_values", False),
+        max_grad_calls=args.max_grad_calls,
     )
 
 
@@ -138,7 +124,7 @@ def _add_common(sub: argparse.ArgumentParser, with_method: bool = True) -> None:
     sub.add_argument("--beta", type=float, default=4.0, help="estimate update factor (> 1)")
     sub.add_argument("--x0", choices=START_KINDS, default="gaussian")
     sub.add_argument("--seed", type=int, default=0, help="seed for the gaussian start point")
-    sub.add_argument("--max-grad-calls", type=int, default=None, dest="max_grad_calls")
+    sub.add_argument("--max-grad-calls", type=int, default=DEFAULT_MAX_GRAD_CALLS, dest="max_grad_calls", help="hard gradient cap per solve")
     sub.add_argument("--out", required=True, help="output directory")
 
 

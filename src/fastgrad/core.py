@@ -18,10 +18,17 @@ from numpy.typing import NDArray
 Vector = NDArray[np.float64]
 
 _FD_STEP = 1e-6  # relative central-difference step of check_gradient
+DEFAULT_MAX_GRAD_CALLS = 10_000_000
 
 
 class NonFiniteError(RuntimeError):
     """An oracle evaluation or iterate produced NaN or infinity."""
+
+
+class BudgetExhausted(Exception):
+    """The gradient budget has no room for the requested evaluations.
+
+    Not a RuntimeError: the drivers catch it and end the run unconverged."""
 
 
 def as_vector(x) -> Vector:
@@ -66,13 +73,21 @@ class CountingOracle:
 
     Counters increment by exactly one per evaluation; callers that reuse a
     result do not pay again. Non-finite results raise NonFiniteError here,
-    at the oracle boundary.
+    at the oracle boundary. max_grad_calls is a hard cap: a gradient past it
+    raises BudgetExhausted instead of being evaluated. Every driver makes at
+    most 2 * grad_calls + 61 value calls, so values need no cap of their own.
     """
 
     def __init__(self, inner: Objective):
         self.inner = inner
         self.value_calls = 0
         self.grad_calls = 0
+        self.max_grad_calls = DEFAULT_MAX_GRAD_CALLS
+
+    def reserve(self, n: int) -> None:
+        """Raise BudgetExhausted unless n more gradient evaluations fit the cap."""
+        if self.grad_calls + n > self.max_grad_calls:
+            raise BudgetExhausted(f"{n} more gradients exceed the cap of {self.max_grad_calls}")
 
     def value(self, x: Vector) -> float:
         self.value_calls += 1
@@ -85,6 +100,8 @@ class CountingOracle:
         return v
 
     def gradient(self, x: Vector) -> Vector:
+        if self.grad_calls >= self.max_grad_calls:
+            raise BudgetExhausted(f"all {self.max_grad_calls} gradients spent")
         self.grad_calls += 1
         g = self.inner.gradient(x)
         if not np.all(np.isfinite(g)):

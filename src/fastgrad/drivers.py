@@ -15,7 +15,16 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import CountingOracle, EventKind, RunTrace, TraceEvent, Vector, norm2, start_vector
+from .core import (
+    BudgetExhausted,
+    CountingOracle,
+    EventKind,
+    RunTrace,
+    TraceEvent,
+    Vector,
+    norm2,
+    start_vector,
+)
 from .ogmg import RunawayLipschitzError, halving_budget, ogmg_run, ogmgl_run
 
 log = logging.getLogger(__name__)
@@ -25,6 +34,7 @@ log = logging.getLogger(__name__)
 AttemptFn = Callable[[Vector, float], tuple[Vector, float, float]]
 
 _MU_FLOOR_RATIO = 1e-30  # the working mu never drops below this fraction of mu0
+_MAX_RETRIES_PER_STEP = 60  # failed halving tests before an outer step is forced
 
 
 class DivergenceError(RuntimeError):
@@ -38,17 +48,15 @@ class SolverConfig:
     epsilon is the target gradient norm. mu0 defaults to L0, the choice that
     makes the strong-convexity adaptation monotone; it is clamped to L0 with
     a warning if set higher. beta > 1 is the estimate update factor (4 is
-    optimal for the worst case). max_retries_per_step and the working-mu floor
-    _MU_FLOOR_RATIO * mu0 bound the retry loop on objectives where the
-    halving test never passes.
+    optimal for the worst case). _MAX_RETRIES_PER_STEP and the working-mu
+    floor _MU_FLOOR_RATIO * mu0 bound the retry loop on objectives where the
+    halving test never passes. The oracle owns the gradient budget.
     """
 
     epsilon: float
     L0: float
     mu0: Optional[float] = None
     beta: float = 4.0
-    max_grad_calls: int = 10_000_000
-    max_retries_per_step: int = 60
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -57,10 +65,6 @@ class SolverConfig:
             raise ValueError(f"L0 must be positive, got {self.L0}")
         if not (math.isfinite(self.beta) and self.beta > 1.0):
             raise ValueError(f"beta must exceed 1, got {self.beta}")
-        if self.max_grad_calls < 1:
-            raise ValueError("max_grad_calls must be >= 1")
-        if self.max_retries_per_step < 1:
-            raise ValueError("max_retries_per_step must be >= 1")
         if self.mu0 is None:
             self.mu0 = self.L0
         if not (math.isfinite(self.mu0) and self.mu0 > 0.0):
@@ -132,7 +136,8 @@ def _adaptive_restarts(
 ) -> DriverResult:
     """Shared outer loop: multiply mu by beta, attempt, demand a halved
     gradient norm; on failure divide mu by beta and retry, adopting a
-    strictly better rejected point as the new restart point."""
+    strictly better rejected point as the new restart point. The run ends
+    unconverged at the first attempt that does not fit the gradient budget."""
     x_ref = start_vector(oracle, x0)
     g_ref = norm2(oracle.gradient(x_ref))
     res.accepted_points += 1
@@ -146,14 +151,15 @@ def _adaptive_restarts(
         if g_ref <= cfg.epsilon:
             res.event(EventKind.TERMINATED, x_ref, g_ref, mu_estimate=mu_prev, L_estimate=L_last)
             return res.finish(True)
-        if oracle.grad_calls >= cfg.max_grad_calls:
-            return res.finish(False)
         mu_work = cfg.beta * mu_prev
         retries = 0
         step_start = x_ref
         while True:  # attempts within one outer step
-            cand, mu_work, L_last = run_attempt(x_ref, mu_work)
-            g_cand = norm2(oracle.gradient(cand))
+            try:
+                cand, mu_work, L_last = run_attempt(x_ref, mu_work)
+                g_cand = norm2(oracle.gradient(cand))
+            except BudgetExhausted:
+                return res.finish(False)
             if g_cand <= 0.5 * g_ref:
                 res.accepted_points += 1
                 res.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
@@ -165,9 +171,7 @@ def _adaptive_restarts(
             if g_cand < g_ref:
                 x_ref, g_ref = cand, g_cand  # adopt the improved restart point
             retries += 1
-            if oracle.grad_calls >= cfg.max_grad_calls:
-                return res.finish(False)
-            if retries >= cfg.max_retries_per_step or mu_work < mu_floor:
+            if retries >= _MAX_RETRIES_PER_STEP or mu_work < mu_floor:
                 log.warning(
                     "halving test failed %d times (working mu %.3e); accepting the "
                     "best point of this step and moving on",
@@ -237,7 +241,8 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     Each step halves the smoothness estimate, takes the plain gradient step
     x - g/L, and doubles L until the sufficient-decrease condition
     f(x') <= f(x) - |g|**2/(2L) accepts. Accepted values are reused, so the
-    per-probe cost is a single value evaluation.
+    per-probe cost is a single value evaluation. No step is taken whose
+    point the gradient budget cannot evaluate.
     """
     x = start_vector(oracle, x0)
     res = DriverResult(oracle)
@@ -254,7 +259,9 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
         if f_x is None:
             f_x = oracle.value(x)
         res.event(EventKind.OUTER_STEP, x, g, f_value=f_x, L_estimate=L_cur)
-        if oracle.grad_calls >= cfg.max_grad_calls:
+        try:
+            oracle.reserve(1)
+        except BudgetExhausted:
             return res.finish(False)
         L_cur /= 2.0
         while True:  # double until sufficient decrease holds
@@ -277,14 +284,13 @@ def ogmg_repeated(
     L: float,
     mu: float,
     epsilon: float,
-    *,
-    max_grad_calls: int = 10_000_000,
 ) -> DriverResult:
     """Repeat the fixed-budget method with constant L and mu until the target.
 
     The per-repetition budget is halving_budget(L, mu). Underestimating L
     can make the iteration diverge; a gradient norm 1e6 times the starting
-    one aborts with a diagnostic.
+    one aborts with a diagnostic. The run ends unconverged at the first
+    repetition that does not fit the gradient budget.
     """
     if not (math.isfinite(L) and math.isfinite(mu)) or L <= 0.0 or mu <= 0.0:
         raise ValueError(f"L and mu must be positive, got L={L}, mu={mu}")
@@ -301,10 +307,11 @@ def ogmg_repeated(
             res.event(EventKind.TERMINATED, x, g, mu_estimate=mu, L_estimate=L)
             return res.finish(True)
         res.event(EventKind.OUTER_STEP, x, g, mu_estimate=mu, L_estimate=L)
-        if oracle.grad_calls >= max_grad_calls:
+        try:
+            x = ogmg_run(oracle, x, L, n)
+            g = norm2(oracle.gradient(x))
+        except BudgetExhausted:
             return res.finish(False)
-        x = ogmg_run(oracle, x, L, n)
-        g = norm2(oracle.gradient(x))
         if g > 1e6 * g0:
             raise DivergenceError(
                 f"gradient norm grew from {g0:.3e} to {g:.3e}; "

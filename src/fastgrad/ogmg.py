@@ -118,7 +118,8 @@ def ogmg_run(
     Performs exactly N gradient evaluations and no value evaluations; the
     returned point is the one carrying the final-gradient-norm guarantee.
     iterate_probe, when given, sees each iterate and its gradient before the
-    step (any value evaluations it triggers are the caller's).
+    step (any value evaluations it triggers are the caller's). Raises
+    BudgetExhausted, before any step, if N gradients exceed the budget.
     """
     if not math.isfinite(L) or L <= 0.0:
         raise ValueError(f"L must be positive and finite, got {L}")
@@ -130,7 +131,9 @@ def ogmg_run(
             iterate_probe(x, g)
         return x - inv_L * g
 
-    return _momentum_pass(start_vector(oracle, x0), N, step)
+    x0 = start_vector(oracle, x0)
+    oracle.reserve(N)
+    return _momentum_pass(x0, N, step)
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,8 @@ def ogmgl_run(
     or L doubles and the whole pass restarts from x0 with the same budget
     (and the same schedule, which depends only on N). A single pass costs at
     most N gradient and 2N value evaluations; the start point is evaluated
-    afresh on every pass, so counters equal true oracle work.
+    afresh on every pass, so counters equal true oracle work. A pass starts
+    only if its N gradients fit the oracle's budget (else BudgetExhausted).
 
     Raises RunawayLipschitzError once the estimate exceeds L_in * 2**60.
     """
@@ -199,6 +203,7 @@ def ogmgl_run(
         return y_next
 
     while True:
+        oracle.reserve(N)
         x = _momentum_pass(x0, N, step)
         if x is not None:
             return OgmglOutcome(x_final=x, L_end=L_hat, inner_restarts=restarts)

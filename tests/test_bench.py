@@ -218,8 +218,13 @@ class TestSweep:
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 @pytest.mark.parametrize(
     "invalid,message",
-    [(dict(method=MethodSpec(name="ogmg")), "step budget"), (dict(eps_rel=math.nan), "eps_rel")],
-    ids=["ogmg-without-n", "nan-eps-rel"],
+    [
+        (dict(method=MethodSpec(name="ogmg")), "step budget"),
+        (dict(eps_rel=math.nan), "eps_rel"),
+        (dict(max_grad_calls=0), "max_grad_calls must be >= 1"),
+        (dict(method=MethodSpec(name="ogmg", n=5), max_grad_calls=5), r"ogmg:5 needs n \+ 1 gradients, over max_grad_calls 5"),
+    ],
+    ids=["ogmg-without-n", "nan-eps-rel", "zero-budget", "ogmg-over-budget"],
 )
 def test_invalid_spec_aborts_before_anything_runs(tmp_path, monkeypatch, command, invalid, message):
     calls = []
@@ -300,16 +305,21 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["run", "--problem", "bogus:1", "--method", "acgm", "--eps", "1", "--out", "x"],
+            ["run", "--problem", "bogus:1", "--method", "acgm", "--l0", "1", "--eps", "1", "--out", "x"],
             ["run", "--problem", "quadratic:1,1", "--method", "nope", "--eps", "1", "--out", "x"],
             ["run", "--problem", "quadratic:1,1", "--method", "ogmg:5", "--eps", "1", "--out", "x"],
             ["run", "--problem", "quadratic:1,1", "--method", "acgm", "--out", "x"],
             ["run", "--problem", "quadratic:1,1", "--method", "acgm", "--eps", "1", "--eps-rel", "1", "--out", "x"],
             ["run", "--problem", "quadratic:1,1", "--unknown-flag", "1"],
-            ["run", "--problem", "quadratic:nan,1", "--method", "acgm", "--eps", "1", "--out", "x"],
-            ["run", "--problem", "quadratic:inf,1", "--method", "acgm", "--eps", "1", "--out", "x"],
-            ["sweep", "--problem", "quadratic:100,1", "--method", "acgm", "--eps", "1",
+            ["run", "--problem", "quadratic:nan,1", "--method", "acgm", "--l0", "1", "--eps", "1", "--out", "x"],
+            ["run", "--problem", "quadratic:inf,1", "--method", "acgm", "--l0", "1", "--eps", "1", "--out", "x"],
+            ["sweep", "--problem", "quadratic:100,1", "--method", "acgm", "--l0", "100", "--eps", "1",
              "--axis", "mu", "--values", "nan", "--out", "x"],
+            ["run", "--problem", "quadratic:1,1", "--method", "ugm", "--eps", "1",
+             "--max-grad-calls", "0", "--out", "x"],
+            # the fixed-budget run uses n + 1 gradients
+            ["run", "--problem", "quadratic:1,1", "--method", "ogmg:5", "--l0", "1", "--eps", "1",
+             "--max-grad-calls", "5", "--out", "x"],
         ],
     )
     def test_invalid_specs_exit_one(self, argv, tmp_path, capsys):
@@ -348,13 +358,25 @@ class TestCli:
         assert "--axis mu0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
-    def test_env_budget_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FASTGRAD_MAX_GRAD_CALLS", "20")
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_acgm_requires_l0(self, tmp_path, capsys, command):
+        # acgm trusts L0 as the true smoothness constant, so it gets no default
+        method = ["--method", "acgm"] if command == "run" else ["--spec", "ugm", "--spec", "acgm"]
         code = main([
-            "run", "--problem", "quadratic:1000,0.1", "--method", "acgm",
-            "--l0", "1000", "--eps-rel", "1e-9", "--out", str(tmp_path / "o"),
+            command, "--problem", "quadratic:1000.0,0.1", "--seed", "7", "--eps-rel", "1e-6",
+            *method, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "requires an explicit --l0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_fixed_budget_fits_its_cap_exactly(self, tmp_path):
+        code = main([
+            "run", "--problem", "quadratic:1000,0.1", "--method", "ogmg:5", "--l0", "1000",
+            "--eps", "1e-30", "--max-grad-calls", "6", "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["grad_calls"] == 6
 
     def test_sweep_command(self, tmp_path):
         code = main([

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from fastgrad.cli import ENV_BUDGET, main
+from fastgrad.cli import main
 
 ILL = "quadratic:1000.0,0.1"
 EPS = ["--eps-rel", repr(2.0**-20), "--x0", "gaussian", "--seed", "7"]
@@ -78,8 +78,8 @@ CASES = {
         ["run", "--problem", ILL, "--method", "acgm", "--l0", "1000", "--max-grad-calls", "200", *EPS],
         2,
         {
-            "trace.csv": "5871d896f088a5533f4d9119c278f4116ecc1278e6ac85eda7848db4b9ecc100",
-            "summary.json": "7ca7bf0be86a9dc9ea6cd97a09dbdac5e3d5459a5de07b217ab4100bfd27bbc1",
+            "trace.csv": "94320d70d652d70e83584a59694e28976f8d6b5b57a5c1c215109124b0d5679d",
+            "summary.json": "92ea4ff23a2884272c2e8c5575b38fd3ec9b4543192870da387236faf648587e",
         },
     ),
     "logreg-algm": (
@@ -120,8 +120,7 @@ def digest(path) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_outputs(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(ENV_BUDGET, raising=False)
+def test_golden_outputs(name, tmp_path, capsys):
     argv, exit_code, expected = CASES[name]
     assert main([*argv, "--out", str(tmp_path)]) == exit_code
     capsys.readouterr()

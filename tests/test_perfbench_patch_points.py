@@ -22,10 +22,10 @@ def spans(monkeypatch):
     return importlib.import_module("spans")
 
 
-def traced(spans, argv):
+def traced(spans, argv, exit_code=0):
     tracer = spans.Tracer()
     with spans.installed(tracer):
-        assert main(argv) == 0
+        assert main(argv) == exit_code
     return spans.layer_metrics(tracer, bytes_out=0)
 
 
@@ -66,3 +66,14 @@ def test_fixed_budget_run_counts_its_steps(spans, tmp_path):
         "--eps-rel", "0.5", "--seed", "7", "--out", str(tmp_path / "run"),
     ])
     assert metrics["ogmg.ogmg_run.steps"] == 40
+
+
+def test_budget_stop_unwinds_through_wrapped_attempts(spans, tmp_path):
+    # the attempt that does not fit the cap raises out of the wrapped ogmgl_run
+    metrics = traced(spans, [
+        "run", "--problem", "quadratic:1000.0,0.1", "--method", "algm", "--l0", "5",
+        "--eps-rel", "1e-12", "--seed", "7", "--max-grad-calls", "150",
+        "--out", str(tmp_path / "run"),
+    ], exit_code=2)
+    assert metrics["problems.builds"] == 1
+    assert metrics["drivers.attempts"] > 0
