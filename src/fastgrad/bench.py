@@ -135,6 +135,9 @@ def make_start(spec: StartSpec, dim: int) -> Vector:
 
 
 def validate_experiment(spec: ExperimentSpec) -> None:
+    reg = getattr(spec.problem, "reg", 1.0)  # the quadratic family has no regularizer
+    if not (math.isfinite(reg) and reg > 0):
+        raise ValueError(f"reg must be finite and positive, got {reg}")
     if spec.method.name not in METHODS:
         raise ValueError(f"unknown method {spec.method.name!r} (expected one of {METHODS})")
     if spec.x0.kind not in START_KINDS:
@@ -151,8 +154,8 @@ def validate_experiment(spec: ExperimentSpec) -> None:
     if spec.method.name == "ogmg_repeated":
         if spec.method.L is None or spec.method.mu is None:
             raise ValueError("method ogmg_repeated requires explicit L and mu")
-        if spec.method.L <= 0 or spec.method.mu <= 0:
-            raise ValueError("ogmg_repeated needs positive L and mu")
+        if not all(math.isfinite(v) and v > 0 for v in (spec.method.L, spec.method.mu)):
+            raise ValueError("ogmg_repeated needs finite positive L and mu")
     if spec.trace_values and spec.method.name != "ogmg":
         raise ValueError("trace_values instrumentation is only supported for method ogmg")
     if spec.eps_rel is not None and not (math.isfinite(spec.eps_rel) and spec.eps_rel > 0):
@@ -182,8 +185,8 @@ def _run_fixed_budget(
 ) -> DriverResult:
     """Single fixed-budget run wrapped into a DriverResult.
 
-    Records one event per iterate; the final verification gradient is the
-    harness's own evaluation, on top of the method's exact n.
+    Records one event per iterate; ogmg_run reserves the final verification
+    gradient with its n steps, and the harness evaluates it itself.
     """
     result = DriverResult(oracle, instrumented_values=trace_values)
 

@@ -93,7 +93,6 @@ def _config(args, method: MethodSpec) -> tuple[SolverConfig, Optional[float]]:
         epsilon=args.eps if args.eps is not None else 1.0,  # replaced when eps_rel is set
         L0=l0,
         mu0=args.mu0,
-        beta=args.beta,
     )
     return cfg, args.eps_rel
 
@@ -121,7 +120,6 @@ def _add_common(sub: argparse.ArgumentParser, with_method: bool = True) -> None:
     sub.add_argument("--eps-rel", type=float, default=None, dest="eps_rel", help="target as a fraction of the start gradient norm")
     sub.add_argument("--mu0", type=float, default=None, help="initial strong-convexity estimate (default: L0)")
     sub.add_argument("--l0", type=float, default=None, help="smoothness constant / initial estimate")
-    sub.add_argument("--beta", type=float, default=4.0, help="estimate update factor (> 1)")
     sub.add_argument("--x0", choices=START_KINDS, default="gaussian")
     sub.add_argument("--seed", type=int, default=0, help="seed for the gaussian start point")
     sub.add_argument("--max-grad-calls", type=int, default=DEFAULT_MAX_GRAD_CALLS, dest="max_grad_calls", help="hard gradient cap per solve")
@@ -153,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec",
         action="append",
         required=True,
-        metavar="METHOD[;l0=..][;mu0=..][;beta=..]",
+        metavar="METHOD[;l0=..][;mu0=..]",
         help="one method per flag, e.g. 'acgm;l0=1000' (repeatable)",
     )
     return parser
@@ -164,14 +162,13 @@ def _compare_spec(text: str, args) -> ExperimentSpec:
     overrides = {}
     for part in parts[1:]:
         key, _, value = part.partition("=")
-        if key not in ("l0", "mu0", "beta") or not value:
-            raise ValueError(f"bad compare spec field {part!r} (expected l0=, mu0= or beta=)")
+        if key not in ("l0", "mu0") or not value:
+            raise ValueError(f"bad compare spec field {part!r} (expected l0= or mu0=)")
         overrides[key] = float(value)
     ns = argparse.Namespace(**vars(args))
     ns.method = parts[0]
     ns.l0 = overrides.get("l0", args.l0)
     ns.mu0 = overrides.get("mu0", args.mu0)
-    ns.beta = overrides.get("beta", args.beta)
     return _experiment(ns)
 
 

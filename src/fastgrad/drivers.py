@@ -29,10 +29,7 @@ from .ogmg import RunawayLipschitzError, halving_budget, ogmg_run, ogmgl_run
 
 log = logging.getLogger(__name__)
 
-# An attempt maps (restart point, working mu) to
-# (candidate, mu after any rescaling, L estimate attached to the candidate).
-AttemptFn = Callable[[Vector, float], tuple[Vector, float, float]]
-
+_BETA = 4.0  # estimate update factor, optimal for the worst case
 _MU_FLOOR_RATIO = 1e-30  # the working mu never drops below this fraction of mu0
 _MAX_RETRIES_PER_STEP = 60  # failed halving tests before an outer step is forced
 
@@ -47,8 +44,7 @@ class SolverConfig:
 
     epsilon is the target gradient norm. mu0 defaults to L0, the choice that
     makes the strong-convexity adaptation monotone; it is clamped to L0 with
-    a warning if set higher. beta > 1 is the estimate update factor (4 is
-    optimal for the worst case). _MAX_RETRIES_PER_STEP and the working-mu
+    a warning if set higher. _MAX_RETRIES_PER_STEP and the working-mu
     floor _MU_FLOOR_RATIO * mu0 bound the retry loop on objectives where the
     halving test never passes. The oracle owns the gradient budget.
     """
@@ -56,15 +52,12 @@ class SolverConfig:
     epsilon: float
     L0: float
     mu0: Optional[float] = None
-    beta: float = 4.0
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (math.isfinite(self.L0) and self.L0 > 0.0):
             raise ValueError(f"L0 must be positive, got {self.L0}")
-        if not (math.isfinite(self.beta) and self.beta > 1.0):
-            raise ValueError(f"beta must exceed 1, got {self.beta}")
         if self.mu0 is None:
             self.mu0 = self.L0
         if not (math.isfinite(self.mu0) and self.mu0 > 0.0):
@@ -129,45 +122,48 @@ class DriverResult:
 def _adaptive_restarts(
     oracle: CountingOracle,
     x0: Vector,
+    L: float,
     cfg: SolverConfig,
-    run_attempt: AttemptFn,
-    L_initial: float,
+    run_pass: Callable[[Vector, float, float, int], tuple[Vector, float]],
     res: DriverResult,
 ) -> DriverResult:
-    """Shared outer loop: multiply mu by beta, attempt, demand a halved
-    gradient norm; on failure divide mu by beta and retry, adopting a
-    strictly better rejected point as the new restart point. The run ends
-    unconverged at the first attempt that does not fit the gradient budget."""
+    """Shared outer loop: multiply mu by _BETA, run a pass of N =
+    halving_budget(L, mu) steps, demand a halved gradient norm; on failure
+    divide mu by _BETA and retry, adopting a strictly better rejected point as
+    the new restart point. run_pass(x_ref, L, mu, N) returns the candidate and
+    the L after the pass; mu moves with L, so L/mu (hence N) is kept. The run
+    ends unconverged at the first pass that does not fit the gradient budget."""
     x_ref = start_vector(oracle, x0)
     g_ref = norm2(oracle.gradient(x_ref))
     res.accepted_points += 1
     if g_ref > cfg.epsilon:
-        res.event(EventKind.OUTER_STEP, x_ref, g_ref, mu_estimate=cfg.mu0, L_estimate=L_initial)
+        res.event(EventKind.OUTER_STEP, x_ref, g_ref, mu_estimate=cfg.mu0, L_estimate=L)
 
     mu_prev = cfg.mu0
     mu_floor = _MU_FLOOR_RATIO * cfg.mu0
-    L_last = L_initial
     while True:
         if g_ref <= cfg.epsilon:
-            res.event(EventKind.TERMINATED, x_ref, g_ref, mu_estimate=mu_prev, L_estimate=L_last)
+            res.event(EventKind.TERMINATED, x_ref, g_ref, mu_estimate=mu_prev, L_estimate=L)
             return res.finish(True)
-        mu_work = cfg.beta * mu_prev
+        mu_work = _BETA * mu_prev
         retries = 0
         step_start = x_ref
         while True:  # attempts within one outer step
             try:
-                cand, mu_work, L_last = run_attempt(x_ref, mu_work)
+                cand, L_new = run_pass(x_ref, L, mu_work, halving_budget(L, mu_work))
                 g_cand = norm2(oracle.gradient(cand))
             except BudgetExhausted:
                 return res.finish(False)
+            mu_work *= L_new / L  # keep L/mu unchanged
+            L = L_new
             if g_cand <= 0.5 * g_ref:
                 res.accepted_points += 1
-                res.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
+                res.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
                 x_ref, g_ref = cand, g_cand
                 mu_prev = mu_work
                 break
-            res.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L_last)
-            mu_work /= cfg.beta
+            res.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
+            mu_work /= _BETA
             if g_cand < g_ref:
                 x_ref, g_ref = cand, g_cand  # adopt the improved restart point
             retries += 1
@@ -187,52 +183,43 @@ def _adaptive_restarts(
 def acgm(oracle: CountingOracle, x0: Vector, L: float, cfg: SolverConfig) -> DriverResult:
     """Restart method adaptive in the strong-convexity estimate.
 
-    L is trusted as a valid smoothness constant; each attempt runs the
-    fixed-budget method with budget halving_budget(L, working mu).
+    L is trusted as a valid smoothness constant; each pass is one run of the
+    fixed-budget method with step size 1/L.
     """
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"L must be positive, got {L}")
 
-    def attempt(x_ref: Vector, mu_work: float) -> tuple[Vector, float, float]:
-        n = halving_budget(L, mu_work)
-        return ogmg_run(oracle, x_ref, L, n), mu_work, L
+    def run_pass(x_ref: Vector, L: float, _mu: float, n: int) -> tuple[Vector, float]:
+        return ogmg_run(oracle, x_ref, L, n), L
 
-    return _adaptive_restarts(oracle, x0, cfg, attempt, L, DriverResult(oracle))
+    return _adaptive_restarts(oracle, x0, L, cfg, run_pass, DriverResult(oracle))
 
 
 def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     """Restart method adaptive in both the strong-convexity and smoothness estimates.
 
-    Attempts delegate to the sufficient-decrease variant. Its returned
-    estimate is carried forward even when the halving test rejects the
-    candidate, and the working mu is rescaled by L_new/L_old so the ratio
-    L/mu (hence the budget) survives the estimate change. Inner estimate
+    Each pass is one run of the sufficient-decrease variant, starting from
+    the current smoothness estimate. Its returned estimate is carried forward
+    even when the halving test rejects the candidate. Inner estimate
     doublings surface in the trace as inner_restart events.
     """
     res = DriverResult(oracle)
-    state = {"L": cfg.L0, "mu": cfg.mu0}
 
-    def on_restart(x_bad: Vector, g_norm: float, f_bad: float, L_new: float) -> None:
-        res.event(
-            EventKind.INNER_RESTART,
-            x_bad,
-            g_norm,
-            f_value=f_bad,
-            mu_estimate=state["mu"],
-            L_estimate=L_new,
-        )
+    def run_pass(x_ref: Vector, L: float, mu: float, n: int) -> tuple[Vector, float]:
+        def on_restart(x_bad: Vector, g_norm: float, f_bad: float, L_new: float) -> None:
+            res.event(
+                EventKind.INNER_RESTART,
+                x_bad,
+                g_norm,
+                f_value=f_bad,
+                mu_estimate=mu,
+                L_estimate=L_new,
+            )
 
-    def attempt(x_ref: Vector, mu_work: float) -> tuple[Vector, float, float]:
-        state["mu"] = mu_work
-        L_old = state["L"]
-        n = halving_budget(L_old, mu_work)
-        out = ogmgl_run(oracle, x_ref, L_old, n, on_restart=on_restart)
-        mu_next = mu_work * (out.L_end / L_old)  # keep L/mu unchanged
-        state["L"] = out.L_end
-        state["mu"] = mu_next
-        return out.x_final, mu_next, out.L_end
+        out = ogmgl_run(oracle, x_ref, L, n, on_restart=on_restart)
+        return out.x_final, out.L_end
 
-    return _adaptive_restarts(oracle, x0, cfg, attempt, cfg.L0, res)
+    return _adaptive_restarts(oracle, x0, cfg.L0, cfg, run_pass, res)
 
 
 def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
@@ -292,13 +279,11 @@ def ogmg_repeated(
     one aborts with a diagnostic. The run ends unconverged at the first
     repetition that does not fit the gradient budget.
     """
-    if not (math.isfinite(L) and math.isfinite(mu)) or L <= 0.0 or mu <= 0.0:
-        raise ValueError(f"L and mu must be positive, got L={L}, mu={mu}")
+    n = halving_budget(L, mu)  # rejects non-finite and non-positive L and mu
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
     x = start_vector(oracle, x0)
-    n = halving_budget(L, mu)
     res = DriverResult(oracle)
     g0 = g = norm2(oracle.gradient(x))
     while True:

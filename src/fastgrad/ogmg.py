@@ -119,7 +119,8 @@ def ogmg_run(
     returned point is the one carrying the final-gradient-norm guarantee.
     iterate_probe, when given, sees each iterate and its gradient before the
     step (any value evaluations it triggers are the caller's). Raises
-    BudgetExhausted, before any step, if N gradients exceed the budget.
+    BudgetExhausted, before any step, unless N + 1 gradients fit the budget:
+    the N steps and the one that judges the returned point.
     """
     if not math.isfinite(L) or L <= 0.0:
         raise ValueError(f"L must be positive and finite, got {L}")
@@ -132,7 +133,7 @@ def ogmg_run(
         return x - inv_L * g
 
     x0 = start_vector(oracle, x0)
-    oracle.reserve(N)
+    oracle.reserve(N + 1)
     return _momentum_pass(x0, N, step)
 
 
@@ -169,7 +170,8 @@ def ogmgl_run(
     (and the same schedule, which depends only on N). A single pass costs at
     most N gradient and 2N value evaluations; the start point is evaluated
     afresh on every pass, so counters equal true oracle work. A pass starts
-    only if its N gradients fit the oracle's budget (else BudgetExhausted).
+    only if N + 1 gradients fit the oracle's budget (else BudgetExhausted):
+    its N steps plus the one that judges its final point.
 
     Raises RunawayLipschitzError once the estimate exceeds L_in * 2**60.
     """
@@ -203,7 +205,7 @@ def ogmgl_run(
         return y_next
 
     while True:
-        oracle.reserve(N)
+        oracle.reserve(N + 1)
         x = _momentum_pass(x0, N, step)
         if x is not None:
             return OgmglOutcome(x_final=x, L_end=L_hat, inner_restarts=restarts)

@@ -223,8 +223,10 @@ class TestSweep:
         (dict(eps_rel=math.nan), "eps_rel"),
         (dict(max_grad_calls=0), "max_grad_calls must be >= 1"),
         (dict(method=MethodSpec(name="ogmg", n=5), max_grad_calls=5), r"ogmg:5 needs n \+ 1 gradients, over max_grad_calls 5"),
+        (dict(method=MethodSpec(name="ogmg_repeated", L=math.inf, mu=1.0)), "finite positive L and mu"),
+        (dict(method=MethodSpec(name="ogmg_repeated", L=1000.0, mu=math.nan)), "finite positive L and mu"),
     ],
-    ids=["ogmg-without-n", "nan-eps-rel", "zero-budget", "ogmg-over-budget"],
+    ids=["ogmg-without-n", "nan-eps-rel", "zero-budget", "ogmg-over-budget", "repeated-inf-L", "repeated-nan-mu"],
 )
 def test_invalid_spec_aborts_before_anything_runs(tmp_path, monkeypatch, command, invalid, message):
     calls = []
@@ -368,6 +370,26 @@ class TestCli:
         ])
         assert code == 1
         assert "requires an explicit --l0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "problem",
+        ["logreg:30,20,-1.0,5", "logreg:30,20,nan,5", "logreg_csv:{csv},-1.0"],
+        ids=["negative", "nan", "csv-negative"],
+    )
+    def test_invalid_reg_exits_before_any_data(self, tmp_path, monkeypatch, capsys, problem):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("1.0,2.0,1\n-1.0,0.5,-1\n")
+        calls = []
+        monkeypatch.setattr(bench, "gen_logreg", lambda *a: calls.append(a))
+        monkeypatch.setattr(bench, "load_logreg_csv", lambda *a: calls.append(a))
+        code = main([
+            "run", "--problem", problem.format(csv=csv_path), "--method", "algm",
+            "--eps-rel", "1e-3", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "reg must be finite and positive" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "o").exists()
 
     def test_fixed_budget_fits_its_cap_exactly(self, tmp_path):

@@ -2,10 +2,13 @@
 
 Random drivers, objectives (smooth, non-smooth, non-convex and inconsistent)
 and constants: whatever happens, no driver spends a gradient past the cap,
-value calls stay within 2 * grad_calls + 61, and no momentum schedule is
-built for more steps than the budget has left.
+and value calls stay within 2 * grad_calls + 61. An accelerated pass of N
+steps starts only if N + 1 gradients fit, its steps plus the one that judges
+its result, so every momentum schedule is shorter than the budget left and a
+run that ends unconverged has spent no gradient after its last trace row.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -27,6 +30,7 @@ from fastgrad import (
     ugm,
 )
 from fastgrad import ogmg
+from fastgrad.cli import main
 
 DRIVERS = {
     "acgm": lambda oracle, x0, cfg: acgm(oracle, x0, cfg.L0, cfg),
@@ -53,7 +57,8 @@ def log_uniform(lo, hi):
 
 
 def run_within_budget(driver, objective, x0, cfg, cap):
-    """Run driver under cap; return the oracle and the (N, room left) of every schedule."""
+    """Run driver under cap; return the oracle, the (N, room left) of every
+    schedule, and the driver's result (None if the oracle aborted the run)."""
     oracle = CountingOracle(objective)
     oracle.max_grad_calls = cap
     schedules = []
@@ -63,18 +68,21 @@ def run_within_budget(driver, objective, x0, cfg, cap):
         schedules.append((N, oracle.max_grad_calls - oracle.grad_calls))
         return make_schedule(N)
 
+    result = None
     with mock.patch.object(ogmg, "make_schedule", recording), np.errstate(all="ignore"):
         try:
-            DRIVERS[driver](oracle, x0, cfg)
+            result = DRIVERS[driver](oracle, x0, cfg)
         except ABORTS:
             pass
-    return oracle, schedules
+    return oracle, schedules, result
 
 
-def assert_within_budget(oracle, schedules, cap):
+def assert_within_budget(oracle, schedules, result, cap):
     assert oracle.grad_calls <= cap
     assert oracle.value_calls <= 2 * oracle.grad_calls + 61
-    assert all(N <= room for N, room in schedules)
+    assert all(N < room for N, room in schedules)
+    if result is not None and not result.converged:
+        assert result.trace.events[-1].grad_calls == oracle.grad_calls
 
 
 @settings(
@@ -99,8 +107,8 @@ def test_no_driver_spends_past_the_cap(driver, objective, dim, L, L0_ratio, mu0_
     L0 = L * L0_ratio
     cfg = SolverConfig(epsilon=eps, L0=L0, mu0=L0 * mu0_ratio)
     x0 = start * np.linspace(1.0, 2.0, dim)
-    oracle, schedules = run_within_budget(driver, OBJECTIVES[objective](dim, L), x0, cfg, cap)
-    assert_within_budget(oracle, schedules, cap)
+    oracle, schedules, result = run_within_budget(driver, OBJECTIVES[objective](dim, L), x0, cfg, cap)
+    assert_within_budget(oracle, schedules, result, cap)
 
 
 @pytest.mark.parametrize("driver", ["acgm", "algm", "ogmg_repeated"])
@@ -108,5 +116,31 @@ def test_ill_conditioned_run_stops_at_the_cap(driver):
     # one ogmg_repeated repetition alone is halving_budget(1e6, 1e-3) = 89443 steps
     objective = QuadraticProblem(diag=np.array([1e6, 1e-3])).objective()
     cfg = SolverConfig(epsilon=1e-12, L0=1e6, mu0=1e-3 if driver == "ogmg_repeated" else None)
-    oracle, schedules = run_within_budget(driver, objective, np.ones(2), cfg, 1000)
-    assert_within_budget(oracle, schedules, 1000)
+    oracle, schedules, result = run_within_budget(driver, objective, np.ones(2), cfg, 1000)
+    assert_within_budget(oracle, schedules, result, 1000)
+
+
+def run_capped(tmp_path, method, eps_rel, cap):
+    out = tmp_path / f"cap{cap}"
+    code = main([
+        "run", "--problem", "quadratic:1000.0,0.1", "--method", method, "--l0", "1000",
+        "--eps-rel", eps_rel, "--x0", "gaussian", "--seed", "7",
+        "--max-grad-calls", str(cap), "--out", str(out),
+    ])
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    return summary["grad_calls"], (out / "trace.csv").read_text()
+
+
+def test_pass_that_cannot_be_judged_is_not_started(tmp_path):
+    # with cap 225 the next acgm pass would fit its steps but not its judging gradient
+    calls_200, trace_200 = run_capped(tmp_path, "acgm", "9.5367431640625e-07", 200)
+    calls_225, trace_225 = run_capped(tmp_path, "acgm", "9.5367431640625e-07", 225)
+    assert calls_200 == calls_225 == 134
+    assert trace_225 == trace_200
+
+
+def test_repetition_needs_room_for_its_judging_gradient(tmp_path):
+    # the start gradient plus halving_budget(1000, 0.1) = 283 steps fill the cap of 284
+    calls, _ = run_capped(tmp_path, "ogmg_repeated:1000,0.1", "1e-12", 284)
+    assert calls == 1

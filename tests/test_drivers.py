@@ -89,7 +89,6 @@ class TestSolverConfig:
         [
             {"epsilon": 0.0, "L0": 1.0},
             {"epsilon": 1.0, "L0": -1.0},
-            {"epsilon": 1.0, "L0": 1.0, "beta": 1.0},
             {"epsilon": 1.0, "L0": 1.0, "mu0": -2.0},
         ],
     )
@@ -123,7 +122,7 @@ class TestAcgm:
 
     def test_retry_mu_sequence_is_geometric(self):
         result, _, cfg = ill_run(mu0=1000.0)
-        beta = cfg.beta
+        beta = drivers._BETA
         mu_accepted = cfg.mu0
         step_mus = []
         for event in result.trace.events[1:]:
@@ -226,7 +225,7 @@ class TestAlgm:
                 break
             if first_attempt:
                 got = event.L_estimate / event.mu_estimate
-                want = L_acc / (cfg.beta * mu_acc)
+                want = L_acc / (drivers._BETA * mu_acc)
                 assert got == pytest.approx(want, rel=1e-12)
             first_attempt = event.kind == EventKind.OUTER_STEP
             if event.kind == EventKind.OUTER_STEP:
