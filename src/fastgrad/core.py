@@ -45,7 +45,8 @@ def as_vector(x) -> Vector:
 
 def norm2(x: Vector) -> float:
     """Euclidean norm of x; rescales when the squared sum under- or overflows."""
-    s = float(np.sqrt(np.dot(x, x)))
+    with np.errstate(over="ignore"):  # an overflow takes the rescale branch below
+        s = float(np.sqrt(np.dot(x, x)))
     if 0.0 < s < math.inf:
         return s
     scale = float(np.max(np.abs(x))) if x.size else 0.0
@@ -71,11 +72,13 @@ class Objective:
 class CountingOracle:
     """Objective wrapper tallying value and gradient evaluations separately.
 
-    Counters increment by exactly one per evaluation; callers that reuse a
-    result do not pay again. Non-finite results raise NonFiniteError here,
-    at the oracle boundary. max_grad_calls is a hard cap: a gradient past it
-    raises BudgetExhausted instead of being evaluated. Every driver makes at
-    most 2 * grad_calls + 61 value calls, so values need no cap of their own.
+    Counters count calls: each value or gradient call adds exactly one to its
+    counter, whatever the objective shares inside (the logistic objective
+    computes X @ w once for a run of calls at the same point). Non-finite
+    results raise NonFiniteError here, at the oracle boundary. max_grad_calls
+    is a hard cap: a gradient past it raises BudgetExhausted instead of being
+    evaluated. Every driver makes at most 2 * grad_calls + 61 value calls, so
+    values need no cap of their own.
     """
 
     def __init__(self, inner: Objective):
@@ -92,7 +95,7 @@ class CountingOracle:
     def value(self, x: Vector) -> float:
         self.value_calls += 1
         v = float(self.inner.value(x))
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise NonFiniteError(
                 f"objective value is non-finite ({v!r}) after "
                 f"{self.value_calls} value evaluations"
@@ -104,7 +107,7 @@ class CountingOracle:
             raise BudgetExhausted(f"all {self.max_grad_calls} gradients spent")
         self.grad_calls += 1
         g = self.inner.gradient(x)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteError(
                 f"gradient has non-finite components after "
                 f"{self.grad_calls} gradient evaluations"

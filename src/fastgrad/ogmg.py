@@ -168,10 +168,10 @@ def ogmgl_run(
 
     or L doubles and the whole pass restarts from x0 with the same budget
     (and the same schedule, which depends only on N). A single pass costs at
-    most N gradient and 2N value evaluations; the start point is evaluated
-    afresh on every pass, so counters equal true oracle work. A pass starts
-    only if N + 1 gradients fit the oracle's budget (else BudgetExhausted):
-    its N steps plus the one that judges its final point.
+    most N gradient and 2N value calls, counted per call, not per product:
+    the logistic objective computes X @ w once for each step's f(x), grad f(x)
+    pair. A pass starts only if N + 1 gradients fit the oracle's budget (else
+    BudgetExhausted): its N steps plus the one that judges its final point.
 
     Raises RunawayLipschitzError once the estimate exceeds L_in * 2**60.
     """

@@ -103,10 +103,23 @@ class LogRegProblem:
         return lipschitz_upper_bound(self)
 
     def objective(self) -> Objective:
+        """Value and gradient sharing the last point's margins (keyed on content):
+        calls at one point compute X @ w once, with bit-identical results."""
+        last_key, last_z = None, None
+
+        def margins(w: Vector) -> np.ndarray:
+            nonlocal last_key, last_z
+            key = w.tobytes()
+            if key != last_key:
+                last_z = _margins(self, w)
+                last_z.setflags(write=False)
+                last_key = key
+            return last_z
+
         return Objective(
             dim=self.dim,
-            value=lambda w: _logreg_value(self, w),
-            gradient=lambda w: _logreg_grad(self, w),
+            value=lambda w: _logreg_value(self, w, margins(w)),
+            gradient=lambda w: _logreg_grad(self, w, margins(w)),
         )
 
 
@@ -114,8 +127,7 @@ def _margins(p: LogRegProblem, w: Vector) -> np.ndarray:
     return p.labels * (p.features @ w)
 
 
-def _logreg_value(p: LogRegProblem, w: Vector) -> float:
-    z = _margins(p, w)
+def _logreg_value(p: LogRegProblem, w: Vector, z: np.ndarray) -> float:
     # log(1 + exp(-z)) evaluated as logaddexp(0, -z): stable for |z| > 700
     return float(np.sum(np.logaddexp(0.0, -z)) + 0.5 * p.reg * np.dot(w, w))
 
@@ -126,8 +138,8 @@ def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
-def _logreg_grad(p: LogRegProblem, w: Vector) -> Vector:
-    s = _sigmoid_of_negative(_margins(p, w))
+def _logreg_grad(p: LogRegProblem, w: Vector, z: np.ndarray) -> Vector:
+    s = _sigmoid_of_negative(z)
     return -(p.features.T @ (p.labels * s)) + p.reg * w
 
 

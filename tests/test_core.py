@@ -37,6 +37,12 @@ def test_norm2_zero_vector():
     assert norm2(np.array([0.0, 1e-300])) > 0.0
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norm2_rescales_without_warning(scale):
+    # the squared sum over- or underflows; the rescaled norm is exact
+    assert norm2(np.array([scale, scale])) == scale * np.sqrt(2.0)
+
+
 def test_norm2_four_ones():
     assert norm2(np.ones(4)) == pytest.approx(2.0, rel=1e-15)
 

@@ -10,7 +10,9 @@ from fastgrad import (
     CountingOracle,
     LogRegProblem,
     QuadraticProblem,
+    SolverConfig,
     SplitMix64,
+    algm,
     check_gradient,
     gen_logreg,
     lipschitz_upper_bound,
@@ -151,6 +153,74 @@ class TestLogReg:
     def test_rejects_non_positive_reg(self):
         with pytest.raises(ValueError, match="reg"):
             LogRegProblem(features=np.ones((1, 1)), labels=np.array([1.0]), reg=0.0)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts the forward products X @ w the logistic objectives compute."""
+    calls = []
+    inner = problems._margins
+
+    def counted(p, w):
+        calls.append(1)
+        return inner(p, w)
+
+    monkeypatch.setattr(problems, "_margins", counted)
+    return calls
+
+
+class TestMarginCache:
+    P = gen_logreg(20, 6, reg=0.5, seed=11)
+
+    def test_value_then_gradient_at_one_point_share_the_product(self, products):
+        obj = self.P.objective()
+        x = np.linspace(-1.0, 1.0, 6)
+        obj.value(x)
+        obj.gradient(x.copy())
+        assert len(products) == 1
+
+    def test_different_points_each_compute(self, products):
+        obj = self.P.objective()
+        x = np.linspace(-1.0, 1.0, 6)
+        obj.value(x)
+        obj.gradient(x + 1.0)
+        assert len(products) == 2
+
+    def test_in_place_mutation_recomputes(self, products):
+        obj = self.P.objective()
+        x = np.linspace(-1.0, 1.0, 6)
+        obj.value(x)
+        x[0] += 0.25
+        grad = obj.gradient(x)
+        assert len(products) == 2
+        assert np.array_equal(grad, self.P.objective().gradient(x))
+
+    def test_results_equal_uncached_evaluation(self):
+        obj = self.P.objective()
+        rng = np.random.default_rng(41)
+        points = [rng.normal(size=6) for _ in range(3)]
+        for i, kind in [(0, "value"), (0, "gradient"), (0, "gradient"), (1, "gradient"),
+                        (1, "value"), (0, "value"), (2, "value"), (2, "value"), (1, "gradient")]:
+            x = points[i].copy()
+            got = getattr(obj, kind)(x)
+            assert np.array_equal(got, getattr(self.P.objective(), kind)(x))
+
+    def test_objectives_do_not_share_a_cache(self, products):
+        a, b = self.P.objective(), self.P.objective()
+        x = np.linspace(-1.0, 1.0, 6)
+        a.value(x)
+        b.value(x)
+        a.gradient(x)
+        assert len(products) == 2
+
+    def test_algm_run_computes_fewer_products_than_calls(self, products):
+        p = gen_logreg(60, 40, 0.01, seed=3)
+        oracle = CountingOracle(p.objective())
+        oracle.max_grad_calls = 10_000  # wrong gradients stop here, not after 10^7
+        x0 = SplitMix64(3).normals(p.dim)
+        result = algm(oracle, x0, SolverConfig(epsilon=1e-6, L0=1.0))
+        assert result.converged
+        assert len(products) < oracle.value_calls + oracle.grad_calls
 
 
 class TestGeneration:
