@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CountingOracle, NonFiniteError, Vector, start_vector
+from .core import CountingOracle, NonFiniteError, Vector, _all_finite, start_vector
 
 # Callback signatures:
 #   iterate probe: (x_i, grad_at_x_i) before each step
@@ -93,15 +93,21 @@ def _momentum_pass(x0: Vector, N: int, gradient_step: GradientStep) -> Optional[
     non-finite values and gradients at every call.
     """
     sched = make_schedule(N)
-    beta, gamma = sched.beta_coef, sched.gamma_coef
+    beta, gamma = sched.beta_coef.tolist(), sched.gamma_coef.tolist()
     x = y = x0
     for i in range(N):
         y_next = gradient_step(i, x)
         if y_next is None:
             return None
-        x = y_next + beta[i] * (y_next - y) + gamma[i] * (y_next - x)
-        y = y_next
-    if not np.all(np.isfinite(x)):
+        # the update above, same operation order, on fresh arrays: callers may hold x, y, y_next
+        d = y_next - y
+        d *= beta[i]
+        d += y_next
+        e = y_next - x
+        e *= gamma[i]
+        d += e
+        x, y = d, y_next
+    if not _all_finite(x):
         raise NonFiniteError(f"iterate became non-finite during a pass of {N} steps")
     return x
 
@@ -186,7 +192,7 @@ def ogmgl_run(
         nonlocal L_hat, restarts
         f_x = oracle.value(x)
         g = oracle.gradient(x)
-        g_sq = float(np.dot(g, g))
+        g_sq = float(g.dot(g))
         y_next = x - g / L_hat
         f_y = oracle.value(y_next)
         if f_y > f_x - g_sq / (2.0 * L_hat):

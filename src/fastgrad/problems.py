@@ -52,7 +52,7 @@ class QuadraticProblem:
         diag = self.diag
         return Objective(
             dim=self.dim,
-            value=lambda x: float(0.5 * np.dot(diag, x * x)),
+            value=lambda x: 0.5 * float(diag.dot(x * x)),
             gradient=lambda x: diag * x,
         )
 

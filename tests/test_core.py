@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -101,6 +103,27 @@ def test_oracle_aborts_on_non_finite_gradient():
     oracle = CountingOracle(obj)
     with pytest.raises(NonFiniteError):
         oracle.gradient(np.zeros(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("dim", [1, 2, 3000])
+def test_oracle_rejects_one_non_finite_gradient_entry(dim, where, bad):
+    g = np.ones(dim)
+    g[{"first": 0, "middle": dim // 2, "last": dim - 1}[where]] = bad
+    oracle = CountingOracle(Objective(dim=dim, value=lambda x: 0.0, gradient=lambda x: g))
+    with pytest.raises(NonFiniteError):
+        oracle.gradient(np.zeros(dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3000])
+def test_oracle_accepts_huge_finite_gradient_without_warning(dim):
+    # a squared-norm test would overflow here; the finiteness check must not
+    g = np.full(dim, 1e308)
+    oracle = CountingOracle(Objective(dim=dim, value=lambda x: 0.0, gradient=lambda x: g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle.gradient(np.zeros(dim)) is g
 
 
 @pytest.mark.parametrize("driver", ["acgm", "algm", "ugm", "repeated"])

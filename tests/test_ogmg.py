@@ -16,6 +16,7 @@ from fastgrad import (
     norm2,
     ogmg_run,
 )
+from fastgrad.ogmg import _momentum_pass
 
 
 def check_schedule_invariants(s):
@@ -199,3 +200,26 @@ def test_non_finite_iterate_aborts(N):
     flat = Objective(dim=1, value=lambda x: float(c @ x), gradient=lambda x: c)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
         ogmg_run(CountingOracle(flat), np.zeros(1), 1e-10, N)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_momentum_pass_never_writes_arrays_it_handed_out(n):
+    # callers keep references to the iterates (best_point, iterate probes), so
+    # the update must build each x_{i+1} in fresh arrays; the step stores what
+    # it sees and returns by reference, next to snapshot copies
+    held = []
+
+    def keep(a):
+        held.append((a, a.copy()))
+        return a
+
+    def step(_i, x):
+        keep(x)
+        return keep(x - 0.25 * x + 0.5)
+
+    x0 = np.array([1.0, -2.0, 0.25])
+    out = _momentum_pass(keep(x0), n, step)
+    assert len(held) == 2 * n + 1  # x0, then each x_i and y_{i+1}
+    assert all(out is not a for a, _ in held)
+    for a, snapshot in held:
+        assert np.array_equal(a, snapshot)

@@ -8,6 +8,7 @@ from fastgrad import (
     Objective,
     QuadraticProblem,
     RunawayLipschitzError,
+    make_schedule,
     ogmgl_run,
 )
 
@@ -20,6 +21,53 @@ def run_with_step_checks(oracle, x0, L_in, n, **kwargs):
 
     out = ogmgl_run(oracle, x0, L_in, n, step_probe=probe, **kwargs)
     return out, margins
+
+
+def scalar_reference_ogmgl(diag, x0, L_in, n):
+    # independent oracle for ogmgl_run on a diagonal quadratic: every
+    # coordinate follows its own scalar recurrence with the same IEEE
+    # operations; f and |g|^2 are summed in plain Python, which can differ
+    # from a BLAS dot in the last bit, far below the decrease test's margins
+    sched = make_schedule(n)
+    beta, gamma = sched.beta_coef.tolist(), sched.gamma_coef.tolist()
+
+    def f(v):
+        return 0.5 * sum(d * (c * c) for d, c in zip(diag, v))
+
+    L_hat, restarts, values, grads = L_in / 2.0, 0, 0, 0
+    while True:
+        x = [float(c) for c in x0]
+        y = list(x)
+        for i in range(n):
+            g = [d * c for d, c in zip(diag, x)]
+            g_sq = sum(c * c for c in g)
+            y_next = [c - gc / L_hat for c, gc in zip(x, g)]
+            values, grads = values + 2, grads + 1
+            if f(y_next) > f(x) - g_sq / (2.0 * L_hat):
+                restarts += 1
+                L_hat *= 2.0
+                break
+            x = [
+                yn + beta[i] * (yn - yp) + gamma[i] * (yn - xc)
+                for yn, yp, xc in zip(y_next, y, x)
+            ]
+            y = y_next
+        else:
+            return x, L_hat, restarts, values, grads
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("L_in", [10.0, 300.0])
+def test_matches_independent_scalar_recurrence(n, L_in):
+    diag = [1000.0, 0.1, 3.7]
+    x0 = np.array([1.0, -2.0, 0.25])
+    oracle = CountingOracle(QuadraticProblem(diag=np.array(diag)).objective())
+    out = ogmgl_run(oracle, x0, L_in, n)
+    x_ref, L_ref, restarts_ref, values_ref, grads_ref = scalar_reference_ogmgl(diag, x0, L_in, n)
+    assert restarts_ref >= 1
+    assert np.array_equal(out.x_final, np.array(x_ref))
+    assert (out.L_end, out.inner_restarts) == (L_ref, restarts_ref)
+    assert (oracle.value_calls, oracle.grad_calls) == (values_ref, grads_ref)
 
 
 def test_exact_quadratic_identity_keeps_estimate():
