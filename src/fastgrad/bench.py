@@ -221,10 +221,8 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
         result = acgm(oracle, x0, cfg.L0, cfg)
     elif m.name == "algm":
         result = algm(oracle, x0, cfg)
-    elif m.name == "ugm":
+    else:  # ugm: validate_experiment rejects every other name
         result = ugm(oracle, x0, cfg)
-    else:  # pragma: no cover - validate_experiment rejects these
-        raise ValueError(f"unknown method {m.name!r}")
     return result, oracle, cfg
 
 

@@ -195,14 +195,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             ok = all(row["converged"] for row in rows)
             summary_line(ok, path)
             return 0 if ok else 2
-        if args.command == "compare":
-            specs = [_compare_spec(text, args) for text in args.spec]
-            results, path = compare(specs)
-            ok = all(res.converged for res in results.values())
-            summary_line(ok, path)
-            return 0 if ok else 2
-        raise ValueError(f"unknown command {args.command!r}")
-    except ValueError as exc:
+        specs = [_compare_spec(text, args) for text in args.spec]  # compare, the last command
+        results, path = compare(specs)
+        ok = all(res.converged for res in results.values())
+        summary_line(ok, path)
+        return 0 if ok else 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
@@ -217,7 +215,3 @@ def summary_line(ok: bool, path) -> None:
 
 def entry() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -9,6 +9,7 @@ smoothness estimate validated by a sufficient-decrease test.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -39,7 +40,6 @@ class RunawayLipschitzError(RuntimeError):
 class Schedule:
     """Momentum coefficients for a fixed budget of N gradient steps."""
 
-    N: int
     theta: np.ndarray  # N+1 entries, theta[N] == 1, non-increasing
     beta_coef: np.ndarray  # N entries
     gamma_coef: np.ndarray  # N entries, each in (0, 1]
@@ -72,14 +72,17 @@ def make_schedule(N: int) -> Schedule:
     gamma = (2.0 * tail - 1.0) / (2.0 * head - 1.0)
     for arr in (theta, beta, gamma):
         arr.setflags(write=False)
-    return Schedule(N=N, theta=theta, beta_coef=beta, gamma_coef=gamma)
+    return Schedule(theta=theta, beta_coef=beta, gamma_coef=gamma)
 
 
 def halving_budget(L: float, mu: float) -> int:
-    """Steps guaranteeing the gradient norm at least halves: ceil(2*sqrt(2*L/mu))."""
+    """Steps guaranteeing the gradient norm at least halves: ceil(2*sqrt(2*L/mu)).
+
+    A ratio that overflows gives the largest finite float, a step count no
+    gradient budget can reserve."""
     if not (math.isfinite(L) and math.isfinite(mu)) or L <= 0.0 or mu <= 0.0:
         raise ValueError(f"L and mu must be positive and finite, got L={L}, mu={mu}")
-    return max(1, math.ceil(2.0 * math.sqrt(2.0 * L / mu)))
+    return max(1, math.ceil(min(2.0 * math.sqrt(2.0 * L / mu), sys.float_info.max)))
 
 
 def _momentum_pass(x0: Vector, N: int, gradient_step: GradientStep) -> Optional[Vector]:

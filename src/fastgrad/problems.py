@@ -90,10 +90,6 @@ class LogRegProblem:
         return self.features.shape[1]
 
     @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def known_mu(self) -> float:
         return self.reg
 
@@ -177,11 +173,7 @@ def lipschitz_upper_bound(p: LogRegProblem) -> float:
     """
     X = p.features
     v = SplitMix64(_POWER_ITER_SEED).normals(p.dim)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:  # cannot happen with the fixed seed; keep the guard cheap
-        v = np.ones(p.dim)
-        nrm = math.sqrt(p.dim)
-    v /= nrm
+    v /= np.linalg.norm(v)  # the fixed seed's first variate is nonzero at every dim
     lam_prev = -1.0
     for _ in range(_POWER_ITER_MAX):
         w = X.T @ (X @ v)

@@ -6,7 +6,7 @@ pinned exactly rather than delegated to a platform library:
 * state advances by the odd constant 0x9E3779B97F4A7C15 modulo 2**64;
 * each output is the state finalized by ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9;
   z ^= z >> 27; z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2**64);
-* ``uniform`` takes the top 53 bits as a double in [0, 1);
+* a uniform takes the top 53 bits as a double in [0, 1);
 * ``normals`` applies the Box-Muller transform to consecutive uniform pairs,
   with the radius uniform shifted into (0, 1] so log never sees zero;
 * ``signs`` maps the top output bit to +1 (clear) or -1 (set).
@@ -45,10 +45,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """One double in [0, 1)."""
-        return (self.u64() >> 11) * _INV_2_53
 
     def normals(self, count: int) -> np.ndarray:
         """count standard normal variates via Box-Muller.

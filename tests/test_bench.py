@@ -322,11 +322,37 @@ class TestCli:
             # the fixed-budget run uses n + 1 gradients
             ["run", "--problem", "quadratic:1,1", "--method", "ogmg:5", "--l0", "1", "--eps", "1",
              "--max-grad-calls", "5", "--out", "x"],
+            # an unreadable file is an invalid spec, not a crash
+            ["run", "--problem", "logreg_csv:missing.csv,1", "--method", "algm", "--eps-rel", "1e-3",
+             "--out", "x"],
+            ["run", "--problem", "quadratic:1,x", "--method", "acgm", "--l0", "1", "--eps", "1", "--out", "x"],
+            ["run", "--problem", "quadratic:1,1", "--method", "ogmg:abc", "--l0", "1", "--eps", "1", "--out", "x"],
+            ["run", "--problem", "quadratic:1,1", "--method", "acgm:5", "--l0", "1", "--eps", "1", "--out", "x"],
+            ["compare", "--problem", "quadratic:1,1", "--l0", "1", "--eps", "1", "--spec", "acgm;beta=2",
+             "--out", "x"],
         ],
     )
-    def test_invalid_specs_exit_one(self, argv, tmp_path, capsys):
+    def test_invalid_specs_exit_one(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
-        assert capsys.readouterr().err
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--method", "acgm", "--l0", "1e300", "--mu0", "1e-10"],
+            ["run", "--method", "algm", "--l0", "1e300", "--mu0", "1e-300"],
+            ["run", "--method", "ogmg_repeated:1e308,1e-308"],
+            ["compare", "--spec", "acgm;l0=1e300;mu0=1e-10"],
+        ],
+        ids=["acgm", "algm", "ogmg_repeated", "compare"],
+    )
+    def test_unrepresentable_ratio_exhausts_budget(self, tmp_path, capsys, argv):
+        # 2L/mu overflows: a pass too long for any gradient budget, not a crash
+        code = main([*argv, "--problem", "quadratic:1,1", "--eps", "1e-3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_oracle_abort_exit_three(self, tmp_path):
         with np.errstate(over="ignore"):
@@ -417,6 +443,27 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "c" / "compare.csv").exists()
+
+    def test_compare_same_method_twice_keeps_both_columns(self, tmp_path):
+        code = main([
+            "compare", "--problem", "quadratic:1000,0.1", "--eps-rel", "1e-5", "--l0", "1000",
+            "--out", str(tmp_path / "c"), "--spec", "acgm", "--spec", "acgm",
+        ])
+        assert code == 0
+        header = (tmp_path / "c" / "compare.csv").read_text().splitlines()[0].split(",")
+        assert header == ["acgm_grad_calls", "acgm_grad_norm", "acgm+_grad_calls", "acgm+_grad_norm"]
+
+    def test_logreg_csv_run_matches_generated_instance(self, tmp_path):
+        p = problems.gen_logreg(60, 40, 0.01, 3)
+        csv_path = tmp_path / "data.csv"
+        np.savetxt(csv_path, np.hstack([p.features, p.labels[:, None]]), delimiter=",", fmt="%.17g")
+        args = ["--method", "algm", "--l0", "100", "--eps-rel", "1e-6", "--x0", "gaussian", "--seed", "7"]
+        for name, problem in (("csv", f"logreg_csv:{csv_path},0.01"), ("gen", "logreg:60,40,0.01,3")):
+            assert main(["run", "--problem", problem, *args, "--out", str(tmp_path / name)]) == 0
+        trace = (tmp_path / "csv" / "trace.csv").read_bytes()
+        assert trace == (tmp_path / "gen" / "trace.csv").read_bytes()
+        summary = json.loads((tmp_path / "csv" / "summary.json").read_text())
+        assert summary["problem"] == f"logreg_csv:{csv_path},0.01"
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

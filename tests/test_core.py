@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import counting_objective
 from fastgrad import (
+    BudgetExhausted,
     CountingOracle,
     NonFiniteError,
     Objective,
@@ -89,6 +90,19 @@ def test_oracle_counts_each_evaluation():
     oracle.gradient(x)
     assert (oracle.value_calls, oracle.grad_calls) == (2, 1)
     assert (calls["value"], calls["grad"]) == (2, 1)
+
+
+def test_oracle_gradient_past_cap_raises_without_evaluating():
+    # the drivers reserve first; this backstop is what direct API callers reach
+    obj, calls = counting_objective([2.0, 0.5])
+    oracle = CountingOracle(obj)
+    oracle.max_grad_calls = 2
+    x = np.array([1.0, -1.0])
+    oracle.gradient(x)
+    oracle.gradient(x)
+    with pytest.raises(BudgetExhausted, match="all 2 gradients spent"):
+        oracle.gradient(x)
+    assert (oracle.grad_calls, calls["grad"]) == (2, 2)
 
 
 def test_oracle_aborts_on_non_finite_value():

@@ -172,6 +172,21 @@ class TestAcgm:
         assert oracle.grad_calls <= 200
         assert any("accepting the best point" in r.message for r in caplog.records)
 
+    def test_forced_accept_counts_an_adopted_point(self, caplog, monkeypatch):
+        # every pass improves on its start without halving it: each retry is
+        # adopted as the restart point and then force-accepted
+        monkeypatch.setattr(drivers, "_MAX_RETRIES_PER_STEP", 1)
+        oracle = CountingOracle(ILL.objective())
+        oracle.max_grad_calls = 200
+        cfg = SolverConfig(epsilon=1e-6, L0=1000.0)
+        with caplog.at_level(logging.WARNING, logger="fastgrad.drivers"):
+            result = acgm(oracle, SplitMix64(7).normals(2), 1000.0, cfg)
+        kinds = [ev.kind for ev in result.trace.events]
+        assert kinds.count(EventKind.OUTER_STEP) == 2
+        assert kinds.count(EventKind.RETRY) == 98
+        assert sum("accepting the best point" in r.message for r in caplog.records) == 98
+        assert result.accepted_points == 100
+
 
 class TestUgm:
     def test_hand_simulated_parabola(self):

@@ -21,7 +21,7 @@ from fastgrad.ogmg import _momentum_pass
 
 def check_schedule_invariants(s):
     theta = s.theta
-    N = s.N
+    N = s.beta_coef.size
     assert theta[N] == 1.0
     assert np.all(theta >= 1.0)
     assert np.all(np.diff(theta) <= 0.0)
