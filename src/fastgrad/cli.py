@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid specification, 2 budget exhausted before
 reaching the target, 3 oracle abort (non-finite values, runaway smoothness
-estimate, divergence).
+estimate (ogmg._doubled), an accepted step that leaves the iterate unchanged
+(ogmg._decrease_step), divergence).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .core import (
     norm2,
     start_vector,
 )
-from .ogmg import RunawayLipschitzError, halving_budget, ogmg_run, ogmgl_run
+from .ogmg import _decrease_step, _doubled, halving_budget, ogmg_run, ogmgl_run
 
 log = logging.getLogger(__name__)
 
@@ -225,9 +225,10 @@ def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
 def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     """Universal-step gradient baseline.
 
-    Each step halves the smoothness estimate, takes the plain gradient step
-    x - g/L, and doubles L until the sufficient-decrease condition
-    f(x') <= f(x) - |g|**2/(2L) accepts. Accepted values are reused, so the
+    Each step halves the smoothness estimate, then doubles it at the same x
+    until the plain gradient step x - g/L passes the sufficient-decrease test
+    f(x') <= f(x) - |g|**2/(2L) of ogmg._decrease_step; the runaway limit of
+    _doubled is L0 * 2**60, run-wide. Accepted values are reused, so the
     per-probe cost is a single value evaluation. No step is taken whose
     point the gradient budget cannot evaluate.
     """
@@ -235,7 +236,6 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     res = DriverResult(oracle)
     f_x = None  # the start value is evaluated only once the start is known not to stop
     L_cur = cfg.L0
-    limit = cfg.L0 * 2.0**60
     while True:
         g_vec = oracle.gradient(x)
         g = norm2(g_vec)
@@ -251,18 +251,9 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
         except BudgetExhausted:
             return res.finish(False)
         L_cur /= 2.0
-        while True:  # double until sufficient decrease holds
-            cand = x - g_vec / L_cur
-            f_cand = oracle.value(cand)
-            if f_cand <= f_x - (g * g) / (2.0 * L_cur):
-                break
-            L_cur *= 2.0
-            if L_cur > limit:
-                raise RunawayLipschitzError(
-                    f"smoothness estimate exceeded {cfg.L0} * 2**60; "
-                    "oracle looks non-smooth or inconsistent"
-                )
-        x, f_x = cand, f_cand
+        while (step := _decrease_step(oracle, x, f_x, g_vec, g * g, L_cur)) is None:
+            L_cur = _doubled(L_cur, cfg.L0)
+        x, f_x = step
 
 
 def ogmg_repeated(

@@ -160,6 +160,38 @@ class OgmglOutcome:
     inner_restarts: int
 
 
+def _doubled(L: float, L_ref: float) -> float:
+    """2L, or RunawayLipschitzError once 2L / L_ref > 2**60 (a ratio that cannot overflow)."""
+    L = 2.0 * L
+    if L / L_ref > 2.0**60:
+        raise RunawayLipschitzError(
+            f"smoothness estimate {L:.3e} exceeded {L_ref:.3e} * 2**60; "
+            "oracle looks non-smooth or inconsistent"
+        )
+    return L
+
+
+def _decrease_step(
+    oracle: CountingOracle, x: Vector, f_x: float, g: Vector, g_sq: float, L: float
+) -> Optional[tuple[Vector, float]]:
+    """(y, f(y)) for y = x - g/L if f(y) <= f(x) - g_sq/(2L), else None; g_sq is |g|**2.
+
+    Below the test's precision, |g| of about sqrt(2*L*ulp(f)), rounding fails it until
+    g/L vanishes against x and it passes with y == x: an accepted non-step, which
+    certifies no decrease and would repeat to the end of the budget, so it aborts."""
+    y = x - g / L
+    f_y = oracle.value(y)
+    if f_y > f_x - g_sq / (2.0 * L):
+        return None
+    if f_y >= f_x and g_sq > 0.0 and np.array_equal(y, x):
+        raise RunawayLipschitzError(
+            f"accepted step at grad_calls={oracle.grad_calls} left the iterate unchanged "
+            f"(gradient norm {math.sqrt(g_sq):.3e}, L {L:.3e}): inconsistent value oracle, "
+            "or a target below the value test's precision of about sqrt(2*L*ulp(f))"
+        )
+    return y, f_y
+
+
 def ogmgl_run(
     oracle: CountingOracle,
     x0: Vector,
@@ -171,24 +203,20 @@ def ogmgl_run(
 ) -> OgmglOutcome:
     """Budget-N accelerated run that tunes the smoothness estimate on the fly.
 
-    The estimate starts at L_in/2. Each trial step y = x - g/L must satisfy
-
-        f(y) <= f(x) - |g|**2 / (2*L)
-
+    The estimate starts at L_in/2. Each trial step y = x - g/L must pass
+    _decrease_step's test f(y) <= f(x) - |g|**2 / (2*L), the one ugm uses,
     or L doubles and the whole pass restarts from x0 with the same budget
     (and the same schedule, which depends only on N). A single pass costs at
     most N gradient and 2N value calls, counted per call, not per product:
     the logistic objective computes X @ w once for each step's f(x), grad f(x)
     pair. A pass starts only if N + 1 gradients fit the oracle's budget (else
     BudgetExhausted): its N steps plus the one that judges its final point.
-
-    Raises RunawayLipschitzError once the estimate exceeds L_in * 2**60.
+    Past L_in * 2**60, _doubled raises RunawayLipschitzError.
     """
     if not math.isfinite(L_in) or L_in <= 0.0:
         raise ValueError(f"L_in must be positive and finite, got {L_in}")
     x0 = start_vector(oracle, x0)
     L_hat = L_in / 2.0
-    limit = L_in * 2.0**60
     restarts = 0
 
     def step(i: int, x: Vector) -> Optional[Vector]:
@@ -196,19 +224,14 @@ def ogmgl_run(
         f_x = oracle.value(x)
         g = oracle.gradient(x)
         g_sq = float(g.dot(g))
-        y_next = x - g / L_hat
-        f_y = oracle.value(y_next)
-        if f_y > f_x - g_sq / (2.0 * L_hat):
+        accepted = _decrease_step(oracle, x, f_x, g, g_sq, L_hat)
+        if accepted is None:
             restarts += 1
-            L_hat *= 2.0
-            if L_hat > limit or restarts > 62:
-                raise RunawayLipschitzError(
-                    f"smoothness estimate exceeded {L_in} * 2**60 after "
-                    f"{restarts} doublings; oracle looks non-smooth or inconsistent"
-                )
+            L_hat = _doubled(L_hat, L_in)
             if on_restart is not None:
                 on_restart(x, math.sqrt(g_sq), f_x, L_hat)
             return None
+        y_next, f_y = accepted
         if step_probe is not None:
             step_probe(i, f_x, g_sq, f_y, L_hat)
         return y_next

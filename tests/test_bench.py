@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,6 +374,32 @@ class TestCli:
             ])
         assert code == 3
         assert not (tmp_path / "o").exists()
+
+    # the value-decrease test resolves |g| here only to about 1e-7, some 3e-9 of the start's
+    TIGHT_LOGREG = ["run", "--problem", "logreg:60,40,0.01,3", "--x0", "gaussian", "--seed", "7"]
+
+    @pytest.mark.parametrize("method,most_grads", [("algm", 1200), ("ugm", 2200)])
+    def test_target_below_value_precision_exit_three(self, tmp_path, capsys, method, most_grads):
+        # an accepted step that leaves the iterate unchanged ends the run, whatever the cap
+        code = main([*self.TIGHT_LOGREG, "--method", method, "--eps-rel", "1e-10", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("aborted:")
+        assert int(re.search(r"grad_calls=(\d+)", err).group(1)) <= most_grads
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "method,eps_rel,grads",
+        [(["ugm"], "2.2e-9", 1585), (["acgm", "--l0", "41.3"], "1e-10", 2184)],
+        ids=["ugm", "acgm"],
+    )
+    def test_target_near_value_precision_converges(self, tmp_path, method, eps_rel, grads):
+        # ugm accepts three steps here that do not lower f but move x; acgm judges by gradients only
+        out = tmp_path / "o"
+        assert main([*self.TIGHT_LOGREG, "--method", *method, "--eps-rel", eps_rel, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["grad_calls"] == grads
+        assert summary["final_grad_norm"] <= summary["epsilon"]
 
     @pytest.mark.parametrize("axis,values", [("L", "100,400"), ("mu", "1,2"), ("mu0", "1,2"), ("L0", "100,400")])
     def test_sweep_rejects_mu0(self, tmp_path, capsys, axis, values):

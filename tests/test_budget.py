@@ -6,6 +6,8 @@ and value calls stay within 2 * grad_calls + 61. An accelerated pass of N
 steps starts only if N + 1 gradients fit, its steps plus the one that judges
 its result, so every momentum schedule is shorter than the budget left and a
 run that ends unconverged has spent no gradient after its last trace row.
+A value oracle that disagrees with its gradient is diagnosed (exit 3) at a
+cost the cap does not set.
 """
 
 import json
@@ -13,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fastgrad import (
@@ -26,6 +28,7 @@ from fastgrad import (
     SolverConfig,
     acgm,
     algm,
+    norm2,
     ogmg_repeated,
     ugm,
 )
@@ -144,3 +147,50 @@ def test_repetition_needs_room_for_its_judging_gradient(tmp_path):
     # the start gradient plus halving_budget(1000, 0.1) = 283 steps fill the cap of 284
     calls, _ = run_capped(tmp_path, "ogmg_repeated:1000,0.1", "1e-12", 284)
     assert calls == 1
+
+
+def abort_counts(driver, objective, x0, cfg, caps):
+    """(grad, value) counts of driver's RunawayLipschitzError abort at each cap."""
+    counts = []
+    for cap in caps:
+        oracle = CountingOracle(objective)
+        oracle.max_grad_calls = cap
+        with pytest.raises(RunawayLipschitzError):
+            DRIVERS[driver](oracle, x0, cfg)
+        counts.append((oracle.grad_calls, oracle.value_calls))
+    return counts
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    driver=st.sampled_from(["algm", "ugm"]),
+    dim=st.integers(1, 4),
+    L=log_uniform(1e-2, 1e6),
+    L0_ratio=log_uniform(1e-3, 1e3),
+    mu0_ratio=log_uniform(1e-6, 1.0),
+    eps=log_uniform(1e-10, 1e-1),
+    start=st.floats(-10.0, 10.0, allow_subnormal=False),
+)
+def test_inconsistent_oracle_aborts_whatever_the_cap(driver, dim, L, L0_ratio, mu0_ratio, eps, start):
+    objective = OBJECTIVES["inconsistent"](dim, L)
+    x0 = start * np.linspace(1.0, 2.0, dim)
+    assume(norm2(objective.gradient(x0)) > eps)  # a start within epsilon converges at once
+    L0 = L * L0_ratio
+    cfg = SolverConfig(epsilon=eps, L0=L0, mu0=L0 * mu0_ratio)
+    counts = abort_counts(driver, objective, x0, cfg, (10**3, 10**5))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("driver", ["algm", "ugm"])
+def test_uphill_gradient_aborts_whatever_the_cap(driver):
+    # once 1/L is below half an ulp of x, the trial point rounds to x and the test passes
+    objective = Objective(1, lambda x: float(x @ x), lambda x: -2.0 * x)
+    cfg = SolverConfig(epsilon=1e-8, L0=1.0)
+    counts = abort_counts(driver, objective, np.ones(1), cfg, (5000, 50_000))
+    assert counts[0] == counts[1]

@@ -128,13 +128,23 @@ def test_per_attempt_oracle_cost():
         prev_v, prev_g = v, g
 
 
+# value decreases along x while the reported gradient points up: the
+# sufficient-decrease test fails at every scale
+LYING = Objective(dim=1, value=lambda x: float(-x[0]), gradient=lambda x: np.ones(1))
+
+
 def test_runaway_estimate_aborts():
-    # value decreases along x while the reported gradient points up: the
-    # sufficient-decrease test fails at every scale
-    lying = Objective(dim=1, value=lambda x: float(-x[0]), gradient=lambda x: np.ones(1))
-    oracle = CountingOracle(lying)
+    oracle = CountingOracle(LYING)
     with pytest.raises(RunawayLipschitzError):
         ogmgl_run(oracle, np.zeros(1), 1.0, 3)
+
+
+def test_runaway_limit_holds_where_its_product_overflows():
+    # L_in * 2**60 is inf; the estimate itself overflows after 28 doublings
+    oracle = CountingOracle(LYING)
+    with pytest.raises(RunawayLipschitzError, match="exceeded"):
+        ogmgl_run(oracle, np.zeros(1), 1e300, 3)
+    assert oracle.grad_calls == 29
 
 
 def test_rejects_bad_inputs():
