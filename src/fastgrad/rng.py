@@ -12,10 +12,11 @@ pinned exactly rather than delegated to a platform library:
 * ``signs`` maps the top output bit to +1 (clear) or -1 (set).
 
 Any implementation following these rules reproduces the streams bit-for-bit.
-Large requests compute the integer stream and the uniforms in whole blocks of
-wrapping ``uint64`` arithmetic, which is exact, but still take log, cos and
-sin per element from ``math``: numpy's vectorised versions may round
-differently from the platform libm in the last bit.
+Large requests compute the integer stream, the uniforms, cos and sin in whole
+blocks: the ``uint64`` arithmetic wraps exactly, and numpy's float64 cos and
+sin call the platform libm, as ``math`` does. Only log is still taken per
+element from ``math``: numpy's float64 log is its own SIMD loop and differs
+from libm in the last bit on about 0.3 % of values.
 """
 
 from __future__ import annotations
@@ -60,11 +61,12 @@ class SplitMix64:
             z = self._u64_block(n + (n & 1))  # an odd tail still draws its whole pair
             u1 = ((z[0::2] >> 11) + 1).astype(np.float64) * _INV_2_53  # (0, 1]
             u2 = (z[1::2] >> 11).astype(np.float64) * _INV_2_53  # [0, 1)
-            r = np.sqrt(-2.0 * _per_element(math.log, u1))
+            log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, u1.size)
+            r = np.sqrt(-2.0 * log_u1)
             angle = 2.0 * math.pi * u2
             block = out[lo : lo + n]
-            block[0::2] = r * _per_element(math.cos, angle)
-            block[1::2] = (r * _per_element(math.sin, angle))[: n // 2]
+            block[0::2] = r * np.cos(angle)
+            block[1::2] = (r * np.sin(angle))[: n // 2]
         return out
 
     def signs(self, count: int) -> np.ndarray:
@@ -103,7 +105,3 @@ class SplitMix64:
         z *= np.uint64(_MIX2)
         z ^= z >> 31
         return z
-
-
-def _per_element(f, a: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(f, a.tolist()), np.float64, a.size)

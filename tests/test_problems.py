@@ -248,6 +248,16 @@ class TestGeneration:
             assert np.array_equal(got.view(np.uint64), reference(ref, count).view(np.uint64))
             assert stream._state == ref._state
 
+    @given(st.integers(0, 2**64 - 1), st.integers(_VECTOR_MIN, 2 * _BLOCK + 3))
+    @settings(max_examples=40, deadline=None)
+    def test_block_normals_match_libm_reference(self, seed, count):
+        # the block path takes cos and sin from numpy; this fails if numpy's
+        # float64 cos/sin ever stop agreeing with math's, bit for bit
+        stream, ref = SplitMix64(seed), SplitMix64(seed)
+        got = stream.normals(count)
+        assert np.array_equal(got.view(np.uint64), reference_normals(ref, count).view(np.uint64))
+        assert stream._state == ref._state
+
     def test_interleaved_calls_match_per_draw_reference(self):
         stream, ref = SplitMix64(99), SplitMix64(99)
         for draw, reference, count in (
