@@ -12,27 +12,27 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DEFAULT_MAX_GRAD_CALLS, CountingOracle, EventKind, RunTrace, Vector, norm2
+from .core import DEFAULT_MAX_GRAD_CALLS, CountingOracle, EventKind, RunTrace, TraceEvent, Vector, norm2
 from .drivers import DriverResult, SolverConfig, acgm, algm, ogmg_repeated, ugm
 from .ogmg import ogmg_run
 from .problems import QuadraticProblem, gen_logreg, load_logreg_csv
 from .rng import SplitMix64
 
-TRACE_HEADER = (
-    "event_index,event_kind,value_calls,grad_calls,grad_norm,"
-    "f_value,mu_estimate,L_estimate"
-)
+TRACE_HEADER = ",".join(("event_index", "event_kind", *TraceEvent._fields[1:]))
 SWEEP_HEADER = "axis_value,sqrt_L_over_mu,total_grad_calls,total_value_calls,converged"
 
 METHODS = ("ogmg", "ogmg_repeated", "acgm", "algm", "ugm")
 START_KINDS = ("zeros", "ones", "gaussian")
 SWEEP_AXES = ("L", "mu", "mu0", "L0")
+PROBLEM_FORMS = "quadratic:<diag,...> | logreg:<n,m,reg,seed> | logreg_csv:<path,reg>"
+METHOD_FORMS = "ogmg:<n> | ogmg_repeated:<L,mu> | acgm | algm | ugm"
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,10 @@ class QuadraticSpec:
 
     def label(self) -> str:
         return "quadratic:" + ",".join(repr(d) for d in self.diag)
+
+    @classmethod
+    def parse(cls, payload: str) -> QuadraticSpec:
+        return cls(diag=tuple(float(part) for part in payload.split(",")))
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,11 @@ class LogRegSpec:
     def label(self) -> str:
         return f"logreg:{self.n_samples},{self.n_features},{self.reg!r},{self.seed}"
 
+    @classmethod
+    def parse(cls, payload: str) -> LogRegSpec:
+        n, m, reg, seed = payload.split(",")
+        return cls(int(n), int(m), float(reg), int(seed))
+
 
 @dataclass(frozen=True)
 class LogRegCsvSpec:
@@ -61,6 +70,11 @@ class LogRegCsvSpec:
 
     def label(self) -> str:
         return f"logreg_csv:{self.path},{self.reg!r}"
+
+    @classmethod
+    def parse(cls, payload: str) -> LogRegCsvSpec:
+        path, reg = payload.rsplit(",", 1)  # the path may hold commas, the reg cannot
+        return cls(path, float(reg))
 
 
 ProblemSpec = Union[QuadraticSpec, LogRegSpec, LogRegCsvSpec]
@@ -83,6 +97,38 @@ class MethodSpec:
         if self.name == "ogmg_repeated":
             return f"ogmg_repeated:{self.L!r},{self.mu!r}"
         return self.name
+
+    @classmethod
+    def parse(cls, name: str, payload: str) -> MethodSpec:
+        if name == "ogmg":
+            return cls(name, n=int(payload))
+        if name == "ogmg_repeated":
+            L, mu = payload.split(",")
+            return cls(name, L=float(L), mu=float(mu))
+        if payload:
+            raise ValueError(f"method {name} takes no payload")
+        return cls(name)
+
+
+def _parse_label(text: str, kind: str, parsers: dict, forms: str):
+    """Hand the payload of name:payload text to name's parser, the inverse of a label()."""
+    name, _, payload = text.partition(":")
+    if name not in parsers:
+        raise ValueError(f"unknown {kind} {name!r}; expected {forms}")
+    try:
+        return parsers[name](payload)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"cannot parse {kind} {text!r}: {exc}") from None
+
+
+def parse_problem(text: str) -> ProblemSpec:
+    parsers = {"quadratic": QuadraticSpec.parse, "logreg": LogRegSpec.parse, "logreg_csv": LogRegCsvSpec.parse}
+    return _parse_label(text, "problem", parsers, PROBLEM_FORMS)
+
+
+def parse_method(text: str) -> MethodSpec:
+    parsers = {name: partial(MethodSpec.parse, name) for name in METHODS}
+    return _parse_label(text, "method", parsers, METHOD_FORMS)
 
 
 @dataclass(frozen=True)
@@ -188,7 +234,7 @@ def _run_fixed_budget(
     Records one event per iterate; ogmg_run reserves the final verification
     gradient with its n steps, and the harness evaluates it itself.
     """
-    result = DriverResult(oracle, instrumented_values=trace_values)
+    result = DriverResult(oracle)
 
     def probe(x: Vector, g_vec: Vector) -> None:
         g = norm2(g_vec)
@@ -259,19 +305,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 
 def write_trace_csv(trace: RunTrace, path: Path) -> None:
-    rows = (
-        [
-            idx,
-            ev.kind.value,
-            ev.value_calls,
-            ev.grad_calls,
-            ev.grad_norm,
-            ev.f_value,
-            ev.mu_estimate,
-            ev.L_estimate,
-        ]
-        for idx, ev in enumerate(trace.events)
-    )
+    rows = ((idx, ev.kind.value, *ev[1:]) for idx, ev in enumerate(trace.events))
     _write_csv(path, TRACE_HEADER.split(","), rows)
 
 
@@ -306,7 +340,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
         "best_grad_norm": result.best_grad_norm,
         "events": len(result.trace.events),
         "accepted_points": result.accepted_points,
-        "instrumented_values": result.trace.instrumented_values,
+        "instrumented_values": spec.trace_values,
         "wall_time_s": wall,
     }
     with open(out / "summary.json", "w") as fh:
@@ -356,6 +390,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
         raise ValueError("axis values must be finite and strictly positive")
     if list(values) != sorted(values) or len(set(values)) != len(values):
         raise ValueError("axis values must be sorted ascending without duplicates")
+    if spec.axis == "mu0" and values[-1] > spec.base.config.L0:
+        raise ValueError(f"mu0 axis values must not exceed L0 = {spec.base.config.L0!r}, to which mu0 is clamped")
 
     grid = [
         (value, _sweep_point(spec.base, spec.axis, value, rep))

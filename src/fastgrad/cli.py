@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 invalid specification, 2 budget exhausted before
 reaching the target, 3 oracle abort (non-finite values, runaway smoothness
 estimate (ogmg._doubled), an accepted step that leaves the iterate unchanged
-(ogmg._decrease_step), divergence).
+(ogmg._decrease_step), a pass that returns its start point, divergence).
 """
 
 from __future__ import annotations
@@ -14,16 +14,17 @@ from pathlib import Path
 from typing import Optional
 
 from .bench import (
+    METHOD_FORMS,
+    PROBLEM_FORMS,
     START_KINDS,
     SWEEP_AXES,
     ExperimentSpec,
-    LogRegCsvSpec,
-    LogRegSpec,
     MethodSpec,
-    QuadraticSpec,
     StartSpec,
     SweepSpec,
     compare,
+    parse_method,
+    parse_problem,
     run_experiment,
     run_sweep,
 )
@@ -39,86 +40,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def parse_problem(text: str):
-    name, _, payload = text.partition(":")
-    try:
-        if name == "quadratic":
-            diag = tuple(float(part) for part in payload.split(","))
-            return QuadraticSpec(diag=diag)
-        if name == "logreg":
-            n, m, reg, seed = payload.split(",")
-            return LogRegSpec(int(n), int(m), float(reg), int(seed))
-        if name == "logreg_csv":
-            path, reg = payload.rsplit(",", 1)
-            return LogRegCsvSpec(path, float(reg))
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"cannot parse problem {text!r}: {exc}") from None
-    raise ValueError(
-        f"unknown problem {name!r}; expected quadratic:<diag,...>, "
-        "logreg:<n,m,reg,seed> or logreg_csv:<path,reg>"
-    )
-
-
-def parse_method(text: str) -> MethodSpec:
-    name, _, payload = text.partition(":")
-    try:
-        if name == "ogmg":
-            return MethodSpec(name="ogmg", n=int(payload))
-        if name == "ogmg_repeated":
-            L, mu = payload.split(",")
-            return MethodSpec(name="ogmg_repeated", L=float(L), mu=float(mu))
-        if name in ("acgm", "algm", "ugm"):
-            if payload:
-                raise ValueError(f"method {name} takes no payload")
-            return MethodSpec(name=name)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"cannot parse method {text!r}: {exc}") from None
-    raise ValueError(
-        f"unknown method {name!r}; expected ogmg:<n>, ogmg_repeated:<L,mu>, "
-        "acgm, algm or ugm"
-    )
-
-
-def _config(args, method: MethodSpec) -> tuple[SolverConfig, Optional[float]]:
-    if args.eps is None and args.eps_rel is None:
-        raise ValueError("one of --eps or --eps-rel is required")
-    if args.eps is not None and args.eps_rel is not None:
-        raise ValueError("--eps and --eps-rel are mutually exclusive")
+def _config(args, method: MethodSpec) -> SolverConfig:
     l0 = args.l0
     if l0 is None:
         # ogmg and acgm trust L0 as the true smoothness constant; the others adapt it
         if method.name in ("ogmg", "acgm"):
             raise ValueError(f"method {method.name} requires an explicit --l0")
         l0 = 1.0
-    cfg = SolverConfig(
-        epsilon=args.eps if args.eps is not None else 1.0,  # replaced when eps_rel is set
-        L0=l0,
-        mu0=args.mu0,
-    )
-    return cfg, args.eps_rel
+    eps = 1.0 if args.eps is None else args.eps  # replaced when eps_rel is set
+    return SolverConfig(epsilon=eps, L0=l0, mu0=args.mu0)
 
 
 def _experiment(args) -> ExperimentSpec:
     method = parse_method(args.method)
-    cfg, eps_rel = _config(args, method)
     return ExperimentSpec(
         problem=parse_problem(args.problem),
         method=method,
-        config=cfg,
+        config=_config(args, method),
         x0=StartSpec(kind=args.x0, seed=args.seed),
         output_dir=Path(args.out),
-        eps_rel=eps_rel,
+        eps_rel=args.eps_rel,
         trace_values=getattr(args, "trace_values", False),
         max_grad_calls=args.max_grad_calls,
     )
 
 
 def _add_common(sub: argparse.ArgumentParser, with_method: bool = True) -> None:
-    sub.add_argument("--problem", required=True, help="quadratic:<diag,...> | logreg:<n,m,reg,seed> | logreg_csv:<path,reg>")
+    sub.add_argument("--problem", required=True, help=PROBLEM_FORMS)
     if with_method:
-        sub.add_argument("--method", required=True, help="ogmg:<n> | ogmg_repeated:<L,mu> | acgm | algm | ugm")
-    sub.add_argument("--eps", type=float, default=None, help="absolute gradient-norm target")
-    sub.add_argument("--eps-rel", type=float, default=None, dest="eps_rel", help="target as a fraction of the start gradient norm")
+        sub.add_argument("--method", required=True, help=METHOD_FORMS)
+    target = sub.add_mutually_exclusive_group(required=True)
+    target.add_argument("--eps", type=float, default=None, help="absolute gradient-norm target")
+    target.add_argument("--eps-rel", type=float, default=None, dest="eps_rel", help="target as a fraction of the start gradient norm")
     sub.add_argument("--mu0", type=float, default=None, help="initial strong-convexity estimate (default: L0)")
     sub.add_argument("--l0", type=float, default=None, help="smoothness constant / initial estimate")
     sub.add_argument("--x0", choices=START_KINDS, default="gaussian")
@@ -174,44 +127,32 @@ def _compare_spec(text: str, args) -> ExperimentSpec:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 
     try:
         if args.command == "run":
-            result, trace_path = run_experiment(_experiment(args))
-            summary_line(result.converged, trace_path)
-            return 0 if result.converged else 2
-        if args.command == "sweep":
+            result, path = run_experiment(_experiment(args))
+            ok = result.converged
+        elif args.command == "sweep":
             if args.mu0 is not None:
                 raise ValueError("sweep sets mu0 per grid point; sweep it with --axis mu0")
             values = tuple(float(v) for v in args.values.split(","))
-            sweep = SweepSpec(
-                base=_experiment(args), axis=args.axis, values=values, repetitions=args.reps
-            )
-            rows, path = run_sweep(sweep)
+            rows, path = run_sweep(SweepSpec(_experiment(args), args.axis, values, args.reps))
             ok = all(row["converged"] for row in rows)
-            summary_line(ok, path)
-            return 0 if ok else 2
-        specs = [_compare_spec(text, args) for text in args.spec]  # compare, the last command
-        results, path = compare(specs)
-        ok = all(res.converged for res in results.values())
-        summary_line(ok, path)
-        return 0 if ok else 2
+        else:  # compare, the last command
+            results, path = compare([_compare_spec(text, args) for text in args.spec])
+            ok = all(res.converged for res in results.values())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
-
-
-def summary_line(ok: bool, path) -> None:
-    status = "converged" if ok else "budget exhausted"
-    print(f"{status}; results in {path}")
+    print(f"{'converged' if ok else 'budget exhausted'}; results in {path}")
+    return 0 if ok else 2
 
 
 def entry() -> None:

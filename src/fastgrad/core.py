@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -137,34 +137,30 @@ class EventKind(Enum):
     TERMINATED = "terminated"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """Snapshot of a run at one solver event.
 
+    The fields are trace.csv's columns after event_index, in file order (kind
+    is event_kind); the harness derives that file's header and rows from them.
     f_value, mu_estimate and L_estimate are None when the method had no such
     quantity at hand (values are never evaluated just to fill the trace
     unless instrumentation was requested explicitly).
     """
 
+    kind: EventKind
     value_calls: int
     grad_calls: int
     grad_norm: float
     f_value: Optional[float]
     mu_estimate: Optional[float]
     L_estimate: Optional[float]
-    kind: EventKind
 
 
 @dataclass
 class RunTrace:
-    """Ordered record of solver events, counters included.
-
-    instrumented_values flags traces whose value-call counts include
-    plot-only evaluations requested by the caller.
-    """
+    """Ordered record of solver events, counters included."""
 
     events: list[TraceEvent] = field(default_factory=list)
-    instrumented_values: bool = False
 
 
 def check_gradient(obj: Objective, x: Vector) -> float:

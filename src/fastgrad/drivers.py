@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -25,7 +26,7 @@ from .core import (
     norm2,
     start_vector,
 )
-from .ogmg import _decrease_step, _doubled, halving_budget, ogmg_run, ogmgl_run
+from .ogmg import _check_moved, _decrease_step, _doubled, halving_budget, ogmg_run, ogmgl_run
 
 log = logging.getLogger(__name__)
 
@@ -81,9 +82,9 @@ class DriverResult:
     converged. Apart from the trace rows, a run keeps O(dim) memory.
     """
 
-    def __init__(self, oracle: CountingOracle, instrumented_values: bool = False):
+    def __init__(self, oracle: CountingOracle):
         self._oracle = oracle
-        self.trace = RunTrace(instrumented_values=instrumented_values)
+        self.trace = RunTrace()
         self.accepted_points = 0
         self.converged = False
         self.best_point: Optional[Vector] = None
@@ -100,13 +101,13 @@ class DriverResult:
     ) -> None:
         self.trace.events.append(
             TraceEvent(
+                kind=kind,
                 value_calls=self._oracle.value_calls,
                 grad_calls=self._oracle.grad_calls,
                 grad_norm=float(grad_norm),
                 f_value=f_value,
                 mu_estimate=mu_estimate,
                 L_estimate=L_estimate,
-                kind=kind,
             )
         )
         if grad_norm < self.best_grad_norm:
@@ -131,8 +132,10 @@ def _adaptive_restarts(
     halving_budget(L, mu) steps, demand a halved gradient norm; on failure
     divide mu by _BETA and retry, adopting a strictly better rejected point as
     the new restart point. run_pass(x_ref, L, mu, N) returns the candidate and
-    the L after the pass; mu moves with L, so L/mu (hence N) is kept. The run
-    ends unconverged at the first pass that does not fit the gradient budget."""
+    the L after the pass; mu moves with L, so L/mu (hence N) is kept, and is
+    clamped to the largest finite float where it grows. The run ends
+    unconverged at the first pass that does not fit the gradient budget, and
+    aborts at a rejected pass that returns its start point."""
     x_ref = start_vector(oracle, x0)
     g_ref = norm2(oracle.gradient(x_ref))
     res.accepted_points += 1
@@ -145,7 +148,7 @@ def _adaptive_restarts(
         if g_ref <= cfg.epsilon:
             res.event(EventKind.TERMINATED, x_ref, g_ref, mu_estimate=mu_prev, L_estimate=L)
             return res.finish(True)
-        mu_work = _BETA * mu_prev
+        mu_work = min(_BETA * mu_prev, sys.float_info.max)
         retries = 0
         step_start = x_ref
         while True:  # attempts within one outer step
@@ -154,7 +157,7 @@ def _adaptive_restarts(
                 g_cand = norm2(oracle.gradient(cand))
             except BudgetExhausted:
                 return res.finish(False)
-            mu_work *= L_new / L  # keep L/mu unchanged
+            mu_work = min(mu_work * (L_new / L), sys.float_info.max)  # keep L/mu unchanged
             L = L_new
             if g_cand <= 0.5 * g_ref:
                 res.accepted_points += 1
@@ -162,6 +165,7 @@ def _adaptive_restarts(
                 x_ref, g_ref = cand, g_cand
                 mu_prev = mu_work
                 break
+            _check_moved(x_ref, g_ref, cand, g_cand, L)
             res.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
             mu_work /= _BETA
             if g_cand < g_ref:
@@ -267,8 +271,9 @@ def ogmg_repeated(
 
     The per-repetition budget is halving_budget(L, mu). Underestimating L
     can make the iteration diverge; a gradient norm 1e6 times the starting
-    one aborts with a diagnostic. The run ends unconverged at the first
-    repetition that does not fit the gradient budget.
+    one aborts with a diagnostic, and so does a repetition that returns its
+    start point. The run ends unconverged at the first repetition that does
+    not fit the gradient budget.
     """
     n = halving_budget(L, mu)  # rejects non-finite and non-positive L and mu
     if not (math.isfinite(epsilon) and epsilon > 0.0):
@@ -284,10 +289,12 @@ def ogmg_repeated(
             return res.finish(True)
         res.event(EventKind.OUTER_STEP, x, g, mu_estimate=mu, L_estimate=L)
         try:
-            x = ogmg_run(oracle, x, L, n)
-            g = norm2(oracle.gradient(x))
+            x_next = ogmg_run(oracle, x, L, n)
+            g_next = norm2(oracle.gradient(x_next))
         except BudgetExhausted:
             return res.finish(False)
+        _check_moved(x, g, x_next, g_next, L)
+        x, g = x_next, g_next
         if g > 1e6 * g0:
             raise DivergenceError(
                 f"gradient norm grew from {g0:.3e} to {g:.3e}; "

@@ -30,9 +30,10 @@ GradientStep = Callable[[int, Vector], Optional[Vector]]
 
 
 class RunawayLipschitzError(RuntimeError):
-    """The smoothness estimate doubled past any plausible value.
+    """The smoothness estimate doubled past any plausible value, or steps g/L vanish against x.
 
-    Indicates a non-smooth objective or an inconsistent value/gradient pair.
+    Indicates a non-smooth objective, an inconsistent value/gradient pair, or
+    an L far too large for the iterate's scale.
     """
 
 
@@ -190,6 +191,17 @@ def _decrease_step(
             "or a target below the value test's precision of about sqrt(2*L*ulp(f))"
         )
     return y, f_y
+
+
+def _check_moved(x: Vector, g: float, x_new: Vector, g_new: float, L: float) -> None:
+    """RunawayLipschitzError if a pass from x (gradient norm g) at L returned x bit for bit:
+    its steps g/L vanished against x, and at that L no later pass moves it either. The
+    norms are compared first and the arrays only on a tie, as in _decrease_step."""
+    if g_new == g and np.array_equal(x_new, x):
+        raise RunawayLipschitzError(
+            f"a pass at L {L:.3e} returned its start point (gradient norm {g:.3e}): "
+            "its steps g/L vanish against x, so L looks far too large"
+        )
 
 
 def ogmgl_run(

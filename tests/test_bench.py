@@ -5,10 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fastgrad import (
     EventKind,
     ExperimentSpec,
+    LogRegCsvSpec,
     MethodSpec,
     QuadraticProblem,
     QuadraticSpec,
@@ -17,6 +20,7 @@ from fastgrad import (
     SplitMix64,
     StartSpec,
     SweepSpec,
+    TraceEvent,
     compare,
     lipschitz_upper_bound,
     norm2,
@@ -24,7 +28,14 @@ from fastgrad import (
     run_sweep,
 )
 from fastgrad import bench, problems
-from fastgrad.bench import TRACE_HEADER, make_start
+from fastgrad.bench import (
+    METHOD_FORMS,
+    PROBLEM_FORMS,
+    TRACE_HEADER,
+    make_start,
+    parse_method,
+    parse_problem,
+)
 from fastgrad.cli import main
 
 ILL = QuadraticSpec(diag=(1000.0, 0.1))
@@ -118,7 +129,7 @@ class TestRunExperiment:
     def test_trace_values_instrumentation(self, tmp_path):
         s = spec(tmp_path, method=MethodSpec(name="ogmg", n=10), eps_rel=1e-12, trace_values=True)
         result, _ = run_experiment(s)
-        assert result.trace.instrumented_values
+        assert json.loads((s.output_dir / "summary.json").read_text())["instrumented_values"] is True
         assert result.trace.events[-1].value_calls == 11
         assert all(e.f_value is not None for e in result.trace.events)
 
@@ -181,6 +192,7 @@ class TestSweep:
             pytest.param("L", (-1.0, 2.0), "positive", id="values2-positive"),
             pytest.param("L", (), "at least one", id="values3-at least one"),
             pytest.param("mu", (math.nan,), "positive", id="mu-nan-positive"),
+            pytest.param("mu0", (1.0, 1000.0), "L0", id="mu0-above-L0"),
         ],
     )
     def test_invalid_values_rejected(self, tmp_path, axis, values, message):
@@ -244,6 +256,42 @@ def test_invalid_spec_aborts_before_anything_runs(tmp_path, monkeypatch, command
             compare([valid, invalid])
     assert calls == []
     assert not (tmp_path / "run").exists()
+
+
+# log-uniform magnitudes over most of the float range
+log_floats = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+problem_specs = st.one_of(
+    st.builds(QuadraticSpec, st.lists(log_floats, min_size=1, max_size=6).map(tuple)),
+    st.builds(LogRegSpec, st.integers(1, 10**6), st.integers(1, 10**6), log_floats, st.integers(0, 2**64 - 1)),
+    st.builds(LogRegCsvSpec, st.text(), log_floats),
+)
+method_specs = st.one_of(
+    st.builds(MethodSpec, st.just("ogmg"), n=st.integers(1, 10**9)),
+    st.builds(MethodSpec, st.just("ogmg_repeated"), L=log_floats, mu=log_floats),
+    st.sampled_from([MethodSpec(name) for name in ("acgm", "algm", "ugm")]),
+)
+
+
+class TestFormats:
+    @given(problem_specs)
+    @example(LogRegCsvSpec("runs,v2:a/data,1.csv", 0.01))
+    @settings(max_examples=500, deadline=None)
+    def test_problem_label_round_trips(self, problem):
+        assert parse_problem(problem.label()) == problem
+
+    @given(method_specs)
+    @settings(max_examples=500, deadline=None)
+    def test_method_label_round_trips(self, method):
+        assert parse_method(method.label()) == method
+
+    def test_unknown_names_list_the_grammar(self):
+        with pytest.raises(ValueError, match=re.escape(PROBLEM_FORMS)):
+            parse_problem("bogus:1")
+        with pytest.raises(ValueError, match=re.escape(METHOD_FORMS)):
+            parse_method("nope")
+
+    def test_trace_columns_are_trace_event_fields(self):
+        assert TRACE_HEADER.split(",")[2:] == list(TraceEvent._fields[1:])
 
 
 class TestCompare:
@@ -362,6 +410,23 @@ class TestCli:
                 "--l0", "1", "--eps", "1e-8", "--x0", "ones", "--out", str(tmp_path / "o"),
             ])
         assert code == 3
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "method",
+        [["acgm", "--l0", "1e17"], ["acgm", "--l0", "5e307"], ["algm", "--l0", "5e307"],
+         ["ogmg_repeated:1e17,1e16"]],
+        ids=["acgm", "acgm-5e307", "algm-5e307", "ogmg_repeated"],
+    )
+    def test_pass_returning_its_start_exit_three(self, tmp_path, capsys, method):
+        # the steps g/L vanish against x = ones: a pass returns its start point, or algm's
+        # first trial step is an accepted non-step
+        code = main([
+            "run", "--problem", "quadratic:1,1", "--x0", "ones", "--eps-rel", "1e-6",
+            "--max-grad-calls", "100000", "--method", *method, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("aborted:")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("method", ["ogmg:3", "acgm", "algm"])
