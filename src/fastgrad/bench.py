@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -272,11 +273,10 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
     return result, oracle, cfg
 
 
-def _solve_all(specs: list[ExperimentSpec]) -> Iterator[tuple]:
-    """Validate every spec, build each distinct problem once, then solve in order.
+def _build_all(specs: list[ExperimentSpec]) -> list:
+    """Validate every spec, then build each distinct problem once; the instance per spec.
 
-    Nothing is generated or solved until every spec is valid. Yields
-    (problem, result, oracle, cfg) per spec, so a caller holds one result at a time.
+    Nothing is generated until every spec is valid.
     """
     for spec in specs:
         validate_experiment(spec)
@@ -284,8 +284,15 @@ def _solve_all(specs: list[ExperimentSpec]) -> Iterator[tuple]:
     for spec in specs:
         if spec.problem not in built:
             built[spec.problem] = build_problem(spec.problem)
-    for spec in specs:
-        problem = built[spec.problem]
+    return [built[spec.problem] for spec in specs]
+
+
+def _solve_all(specs: list[ExperimentSpec]) -> Iterator[tuple]:
+    """Build every problem as _build_all does, then solve in order.
+
+    Yields (problem, result, oracle, cfg) per spec, so a caller holds one result at a time.
+    """
+    for spec, problem in zip(specs, _build_all(specs)):
         yield (problem, *_execute(spec, problem))
 
 
@@ -373,11 +380,65 @@ def _sweep_point(base: ExperimentSpec, axis: str, value: float, rep: int) -> Exp
     return replace(base, problem=problem, config=cfg, x0=x0)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or read its CPU set."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1  # Windows has no fork start method, macOS no CPU set
+    return len(os.sched_getaffinity(0))
+
+
+def _solve_share(share: list[tuple]) -> tuple[list[tuple], Optional[tuple[int, Exception]]]:
+    """Solve (index, spec, problem) points in order, stopping at the first failure.
+
+    Returns (index, grad_calls, value_calls, converged) per solved point, and
+    (index, exception) of the failure or None. Any exception counts, so the
+    caller can raise the one a serial run would have raised.
+    """
+    rows = []
+    for index, spec, problem in share:
+        try:
+            result, oracle, _ = _execute(spec, problem)
+        except Exception as exc:
+            return rows, (index, exc)
+        rows.append((index, oracle.grad_calls, oracle.value_calls, result.converged))
+    return rows, None
+
+
+def _solve_grid(points: list[tuple], costs: list[float], workers: int) -> list[tuple[int, int, bool]]:
+    """(grad_calls, value_calls, converged) per (spec, problem) point, in grid order.
+
+    Points are dealt round-robin by descending cost (ties by grid index) into
+    one share per worker, each solved in grid order; this process solves the
+    first share and forked workers the others, from copies of their points.
+    The results do not depend on workers. A failure raises the exception of
+    the lowest-indexed failing point, as a serial run would; a worker that
+    dies raises BrokenProcessPool, a RuntimeError.
+    """
+    by_cost = sorted(range(len(points)), key=lambda i: (-costs[i], i))
+    shares = [[(i, *points[i]) for i in sorted(by_cost[k::workers])] for k in range(workers)]
+    if workers == 1:
+        outcomes = [_solve_share(shares[0])]
+    else:  # imported here, so that serial runs never pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_solve_share, share) for share in shares[1:]]
+            outcomes = [_solve_share(shares[0])] + [future.result() for future in futures]
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [row[1:] for row in sorted(row for rows, _ in outcomes for row in rows)]
+
+
 def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     """Run every grid point x repetition; write one summary row each.
 
-    All grid points are validated before any of them executes, and rows are
-    written in grid order, so fixed seeds give bit-identical files.
+    All grid points are validated and built before any of them executes.
+    Points of the L and mu axes, each its own 2-d quadratic, are solved in
+    parallel on up to one process per usable CPU. Rows are written in grid
+    order and do not depend on the process count, so fixed seeds give
+    bit-identical files.
     """
     if spec.base.output_dir is None:
         raise ValueError("run_sweep requires output_dir on the base experiment")
@@ -398,18 +459,22 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
         for value in values
         for rep in range(spec.repetitions)
     ]
-    solves = _solve_all([point for _, point in grid])
-    rows = []
-    for (value, _), (problem, result, oracle, _) in zip(grid, solves):
-        rows.append(
-            {
-                "axis_value": value,
-                "sqrt_L_over_mu": float(np.sqrt(problem.known_L / problem.known_mu)),
-                "total_grad_calls": oracle.grad_calls,
-                "total_value_calls": oracle.value_calls,
-                "converged": result.converged,
-            }
-        )
+    points = [point for _, point in grid]
+    built = _build_all(points)
+    ratios = [float(np.sqrt(problem.known_L / problem.known_mu)) for problem in built]
+    # mu0/L0 points share one instance, whose large products OpenBLAS already threads
+    workers = min(len(points), _usable_cpus()) if spec.axis in ("L", "mu") else 1
+    solved = _solve_grid(list(zip(points, built)), ratios, workers)
+    rows = [
+        {
+            "axis_value": value,
+            "sqrt_L_over_mu": ratio,
+            "total_grad_calls": grad_calls,
+            "total_value_calls": value_calls,
+            "converged": converged,
+        }
+        for (value, _), ratio, (grad_calls, value_calls, converged) in zip(grid, ratios, solved)
+    ]
     out = Path(spec.base.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"

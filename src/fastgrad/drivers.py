@@ -254,8 +254,8 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
             oracle.reserve(1)
         except BudgetExhausted:
             return res.finish(False)
-        L_cur /= 2.0
-        while (step := _decrease_step(oracle, x, f_x, g_vec, g * g, L_cur)) is None:
+        L_first = L_cur = L_cur / 2.0
+        while (step := _decrease_step(oracle, x, f_x, g_vec, g * g, L_cur, L_first)) is None:
             L_cur = _doubled(L_cur, cfg.L0)
         x, f_x = step
 

@@ -173,22 +173,29 @@ def _doubled(L: float, L_ref: float) -> float:
 
 
 def _decrease_step(
-    oracle: CountingOracle, x: Vector, f_x: float, g: Vector, g_sq: float, L: float
+    oracle: CountingOracle, x: Vector, f_x: float, g: Vector, g_sq: float, L: float, L_first: float
 ) -> Optional[tuple[Vector, float]]:
     """(y, f(y)) for y = x - g/L if f(y) <= f(x) - g_sq/(2L), else None; g_sq is |g|**2.
 
     Below the test's precision, |g| of about sqrt(2*L*ulp(f)), rounding fails it until
     g/L vanishes against x and it passes with y == x: an accepted non-step, which
-    certifies no decrease and would repeat to the end of the budget, so it aborts."""
+    certifies no decrease and would repeat to the end of the budget, so it aborts.
+    L_first is the caller's first trial estimate; a non-step there, before any
+    doubling, means the estimate was too large for x from the start."""
     y = x - g / L
     f_y = oracle.value(y)
     if f_y > f_x - g_sq / (2.0 * L):
         return None
     if f_y >= f_x and g_sq > 0.0 and np.array_equal(y, x):
+        cause = (
+            " before any doubling of L: its steps g/L vanish against x, so L looks far too large"
+            if L == L_first
+            else ": inconsistent value oracle, or a target below the value test's precision of "
+            "about sqrt(2*L*ulp(f))"
+        )
         raise RunawayLipschitzError(
             f"accepted step at grad_calls={oracle.grad_calls} left the iterate unchanged "
-            f"(gradient norm {math.sqrt(g_sq):.3e}, L {L:.3e}): inconsistent value oracle, "
-            "or a target below the value test's precision of about sqrt(2*L*ulp(f))"
+            f"(gradient norm {math.sqrt(g_sq):.3e}, L {L:.3e}){cause}"
         )
     return y, f_y
 
@@ -236,7 +243,7 @@ def ogmgl_run(
         f_x = oracle.value(x)
         g = oracle.gradient(x)
         g_sq = float(g.dot(g))
-        accepted = _decrease_step(oracle, x, f_x, g, g_sq, L_hat)
+        accepted = _decrease_step(oracle, x, f_x, g, g_sq, L_hat, L_in / 2.0)
         if accepted is None:
             restarts += 1
             L_hat = _doubled(L_hat, L_in)

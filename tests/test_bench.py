@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -228,6 +231,75 @@ class TestSweep:
         assert not (tmp_path / "run" / "sweep.csv").exists()
 
 
+class TestParallelSweep:
+    """L- and mu-axis sweep points are solved in one process per usable CPU."""
+
+    VALUES = ("100", "400", "1600", "6400")
+
+    def sweep(self, tmp_path, monkeypatch, cpus, method="acgm", axis="L", values=VALUES, reps=1):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"{method}-{axis}-{cpus}"
+        argv = [
+            "sweep", "--problem", "quadratic:100,1", "--method", method, "--l0", "100",
+            "--eps-rel", "1e-6", "--axis", axis, "--values", ",".join(values),
+            "--reps", str(reps), "--out", str(out),
+        ]
+        return main(argv), out / "sweep.csv"
+
+    @pytest.mark.parametrize("axis,values", [("L", VALUES), ("mu", ("0.25", "1", "4", "16"))])
+    @pytest.mark.parametrize("method", ["acgm", "algm", "ugm", "ogmg_repeated:6400,0.25"])
+    def test_worker_count_cannot_change_results(self, tmp_path, monkeypatch, method, axis, values):
+        files = []
+        for cpus in (1, 2, 3):
+            code, path = self.sweep(tmp_path, monkeypatch, cpus, method, axis, values, reps=2)
+            assert code == 0
+            files.append(path.read_bytes())
+        assert files[1] == files[0] and files[2] == files[0]
+        assert len(files[0].splitlines()) == 1 + 2 * len(values)
+
+    def test_lowest_indexed_failure_is_raised(self, tmp_path, monkeypatch, capsys):
+        # with 3 workers this process solves the 100 and 6400 points and fails at 6400,
+        # while a worker fails at 400, the failure a serial run meets first
+        acgm = bench.acgm
+
+        def aborting(oracle, x0, L, cfg):
+            if L in (400.0, 6400.0):
+                raise RuntimeError(f"chosen point L={L!r}")
+            return acgm(oracle, x0, L, cfg)
+
+        monkeypatch.setattr(bench, "acgm", aborting)
+        for cpus in (1, 2, 3):
+            code, path = self.sweep(tmp_path, monkeypatch, cpus)
+            assert code == 3
+            assert capsys.readouterr().err == "aborted: chosen point L=400.0\n"
+            assert not path.exists()
+
+    def test_dead_worker_aborts_without_output(self, tmp_path, monkeypatch, capsys):
+        parent, acgm = os.getpid(), bench.acgm
+
+        def dying(oracle, x0, L, cfg):
+            if os.getpid() != parent and L == 1600.0:  # the second point of the worker's share
+                os._exit(1)
+            return acgm(oracle, x0, L, cfg)
+
+        def on_deadline(_signum, _frame):
+            for child in multiprocessing.active_children():
+                child.kill()  # so that the pool's shutdown cannot wait on a hung worker
+            raise TimeoutError("the sweep did not return after its worker died")
+
+        monkeypatch.setattr(bench, "acgm", dying)
+        previous = signal.signal(signal.SIGALRM, on_deadline)
+        signal.alarm(60)
+        try:
+            code, path = self.sweep(tmp_path, monkeypatch, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("aborted:")
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 @pytest.mark.parametrize(
     "invalid,message",
@@ -428,6 +500,24 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err.startswith("aborted:")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "method,l0,exit_code,grads",
+        [("ugm", "1e17", 3, 1), ("algm", "1e17", 3, 2), ("ugm", "1e15", 0, None), ("algm", "1e15", 0, None)],
+        ids=["ugm-1e17", "algm-1e17", "ugm-1e15", "algm-1e15"],
+    )
+    def test_large_l0_diagnosed_as_too_large(self, tmp_path, capsys, method, l0, exit_code, grads):
+        # at 1e17 the first trial step, at L0/2, vanishes against x = ones before L ever doubled
+        code = main([
+            "run", "--problem", "quadratic:1,1", "--x0", "ones", "--eps-rel", "1e-6",
+            "--l0", l0, "--method", method, "--out", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert code == exit_code
+        if exit_code == 3:
+            assert err.startswith(f"aborted: accepted step at grad_calls={grads} left the iterate unchanged")
+            assert "before any doubling of L" in err and "L looks far too large" in err
+            assert "precision" not in err
 
     @pytest.mark.parametrize("method", ["ogmg:3", "acgm", "algm"])
     def test_non_finite_iterate_exit_three(self, tmp_path, method):
