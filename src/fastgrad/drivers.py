@@ -26,7 +26,15 @@ from .core import (
     norm2,
     start_vector,
 )
-from .ogmg import _check_moved, _decrease_step, _doubled, halving_budget, ogmg_run, ogmgl_run
+from .ogmg import (
+    RunawayLipschitzError,
+    _check_moved,
+    _decrease_step,
+    _doubled,
+    halving_budget,
+    ogmg_run,
+    ogmgl_run,
+)
 
 log = logging.getLogger(__name__)
 
@@ -135,7 +143,8 @@ def _adaptive_restarts(
     the L after the pass; mu moves with L, so L/mu (hence N) is kept, and is
     clamped to the largest finite float where it grows. The run ends
     unconverged at the first pass that does not fit the gradient budget, and
-    aborts at a rejected pass that returns its start point."""
+    aborts at a rejected pass that returns its start point, unless an earlier
+    attempt adopted that point and it meets epsilon: then the run ends there."""
     x_ref = start_vector(oracle, x0)
     g_ref = norm2(oracle.gradient(x_ref))
     res.accepted_points += 1
@@ -165,7 +174,13 @@ def _adaptive_restarts(
                 x_ref, g_ref = cand, g_cand
                 mu_prev = mu_work
                 break
-            _check_moved(x_ref, g_ref, cand, g_cand, L)
+            try:
+                _check_moved(x_ref, g_ref, cand, g_cand, L)
+            except RunawayLipschitzError:
+                if g_ref > cfg.epsilon:
+                    raise
+                res.accepted_points += 1  # adopted by an earlier attempt; the outer check terminates on it
+                break
             res.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
             mu_work /= _BETA
             if g_cand < g_ref:
@@ -220,7 +235,7 @@ def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
                 L_estimate=L_new,
             )
 
-        out = ogmgl_run(oracle, x_ref, L, n, on_restart=on_restart)
+        out = ogmgl_run(oracle, x_ref, L, n, on_restart=on_restart, target=cfg.epsilon)
         return out.x_final, out.L_end
 
     return _adaptive_restarts(oracle, x0, cfg.L0, cfg, run_pass, res)

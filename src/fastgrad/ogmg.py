@@ -219,6 +219,7 @@ def ogmgl_run(
     *,
     on_restart: Optional[RestartCallback] = None,
     step_probe: Optional[StepProbe] = None,
+    target: float = 0.0,
 ) -> OgmglOutcome:
     """Budget-N accelerated run that tunes the smoothness estimate on the fly.
 
@@ -230,20 +231,29 @@ def ogmgl_run(
     the logistic objective computes X @ w once for each step's f(x), grad f(x)
     pair. A pass starts only if N + 1 gradients fit the oracle's budget (else
     BudgetExhausted): its N steps plus the one that judges its final point.
-    Past L_in * 2**60, _doubled raises RunawayLipschitzError.
+    Past L_in * 2**60, _doubled raises RunawayLipschitzError. Where
+    _decrease_step would abort at an iterate whose gradient norm is at most
+    target, the pass ends there and returns that iterate instead.
     """
     if not math.isfinite(L_in) or L_in <= 0.0:
         raise ValueError(f"L_in must be positive and finite, got {L_in}")
     x0 = start_vector(oracle, x0)
     L_hat = L_in / 2.0
     restarts = 0
+    reached: Optional[Vector] = None
 
     def step(i: int, x: Vector) -> Optional[Vector]:
-        nonlocal L_hat, restarts
+        nonlocal L_hat, restarts, reached
         f_x = oracle.value(x)
         g = oracle.gradient(x)
         g_sq = float(g.dot(g))
-        accepted = _decrease_step(oracle, x, f_x, g, g_sq, L_hat, L_in / 2.0)
+        try:
+            accepted = _decrease_step(oracle, x, f_x, g, g_sq, L_hat, L_in / 2.0)
+        except RunawayLipschitzError:
+            if math.sqrt(g_sq) > target:
+                raise
+            reached = x  # below the value test's precision, but x already meets the target
+            return None
         if accepted is None:
             restarts += 1
             L_hat = _doubled(L_hat, L_in)
@@ -258,5 +268,7 @@ def ogmgl_run(
     while True:
         oracle.reserve(N + 1)
         x = _momentum_pass(x0, N, step)
+        if x is None:
+            x = reached
         if x is not None:
             return OgmglOutcome(x_final=x, L_end=L_hat, inner_restarts=restarts)

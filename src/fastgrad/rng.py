@@ -12,11 +12,13 @@ pinned exactly rather than delegated to a platform library:
 * ``signs`` maps the top output bit to +1 (clear) or -1 (set).
 
 Any implementation following these rules reproduces the streams bit-for-bit.
-Large requests compute the integer stream, the uniforms, cos and sin in whole
-blocks: the ``uint64`` arithmetic wraps exactly, and numpy's float64 cos and
-sin call the platform libm, as ``math`` does. Only log is still taken per
-element from ``math``: numpy's float64 log is its own SIMD loop and differs
-from libm in the last bit on about 0.3 % of values.
+Large requests compute the integer stream, the uniforms, log, cos and sin in
+whole blocks: the ``uint64`` arithmetic wraps exactly, and numpy's float64 cos
+and sin call the platform libm, as ``math`` does. numpy's float64 log has its
+own SIMD loop, which differs from libm in the last bit on about 0.3 % of
+values; a call whose input and output strides have opposite signs skips it
+and runs numpy's scalar loop, which calls libm's log. So log reads the
+uniforms through a reversed view into a fresh array and reverses the result.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class SplitMix64:
             z = self._u64_block(n + (n & 1))  # an odd tail still draws its whole pair
             u1 = ((z[0::2] >> 11) + 1).astype(np.float64) * _INV_2_53  # (0, 1]
             u2 = (z[1::2] >> 11).astype(np.float64) * _INV_2_53  # [0, 1)
-            log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, u1.size)
+            log_u1 = np.log(u1[::-1])[::-1]  # the reversed stride selects the libm loop
             r = np.sqrt(-2.0 * log_u1)
             angle = 2.0 * math.pi * u2
             block = out[lo : lo + n]

@@ -544,6 +544,24 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "seed,eps,l0",
+        [(1, "3e-7", "1"), (1, "3e-7", "100"), (2, "3e-7", "100"), (3, "3e-7", "1"),
+         (3, "3e-7", "100"), (4, "1e-6", "100"), (5, "3e-7", "1"), (8, "3e-7", "1")],
+    )
+    def test_algm_stops_where_a_rejected_pass_meets_the_target(self, tmp_path, seed, eps, l0):
+        # each run reaches a restart point that meets eps and a pass from it that cannot move
+        out = tmp_path / "o"
+        code = main([
+            "run", "--problem", f"logreg:60,40,0.01,{seed}", "--method", "algm", "--l0", l0,
+            "--eps", eps, "--x0", "gaussian", "--seed", str(seed), "--max-grad-calls", "20000",
+            "--out", str(out),
+        ])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_grad_norm"] <= summary["epsilon"]
+        assert summary["value_calls"] <= 2 * summary["grad_calls"] + 61
+
+    @pytest.mark.parametrize(
         "method,eps_rel,grads",
         [(["ugm"], "2.2e-9", 1585), (["acgm", "--l0", "41.3"], "1e-10", 2184)],
         ids=["ugm", "acgm"],

@@ -147,6 +147,25 @@ def test_runaway_limit_holds_where_its_product_overflows():
     assert oracle.grad_calls == 29
 
 
+# flat values and a tiny gradient: every trial step g/L vanishes against x = 1
+FLAT = Objective(dim=1, value=lambda x: 1.0, gradient=lambda x: np.full(1, 1e-30))
+
+
+@pytest.mark.parametrize("target", [0.0, 9e-31])
+def test_non_step_above_target_aborts(target):
+    with pytest.raises(RunawayLipschitzError, match="left the iterate unchanged"):
+        ogmgl_run(CountingOracle(FLAT), np.ones(1), 2.0, 3, target=target)
+
+
+def test_non_step_at_target_returns_the_iterate():
+    oracle = CountingOracle(FLAT)
+    x0 = np.ones(1)
+    out = ogmgl_run(oracle, x0, 2.0, 3, target=1e-30)
+    assert np.array_equal(out.x_final, x0)
+    assert (out.L_end, out.inner_restarts) == (1.0, 0)
+    assert (oracle.grad_calls, oracle.value_calls) == (1, 2)
+
+
 def test_rejects_bad_inputs():
     p = QuadraticProblem(diag=np.array([1.0]))
     oracle = CountingOracle(p.objective())

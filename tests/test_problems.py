@@ -251,12 +251,28 @@ class TestGeneration:
     @given(st.integers(0, 2**64 - 1), st.integers(_VECTOR_MIN, 2 * _BLOCK + 3))
     @settings(max_examples=40, deadline=None)
     def test_block_normals_match_libm_reference(self, seed, count):
-        # the block path takes cos and sin from numpy; this fails if numpy's
-        # float64 cos/sin ever stop agreeing with math's, bit for bit
+        # the block path takes log, cos and sin from numpy; this fails if numpy's
+        # float64 cos/sin, or its log through a reversed stride, ever stop
+        # agreeing with math's, bit for bit
         stream, ref = SplitMix64(seed), SplitMix64(seed)
         got = stream.normals(count)
         assert np.array_equal(got.view(np.uint64), reference_normals(ref, count).view(np.uint64))
         assert stream._state == ref._state
+
+    def test_reversed_stride_log_is_libm(self):
+        # the block path's log relies on numpy dispatching a negative-stride
+        # input to its scalar loop, which calls libm's log as math.log does
+        z = SplitMix64(42)._u64_block(2**21)
+        radius = ((z[0::2] >> 11) + 1).astype(np.float64) * 2.0**-53
+        u = np.concatenate([radius, [1.0, 2.0**-53]])
+        got = np.log(u[::-1])[::-1]
+        want = np.array([math.log(v) for v in u.tolist()])
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, (
+            f"numpy's reversed-stride log no longer calls libm ({differ.size} of {u.size} "
+            f"values differ, first u = {u[differ[0]]!r}); go back to per-element math.log "
+            "in SplitMix64.normals"
+        )
 
     def test_interleaved_calls_match_per_draw_reference(self):
         stream, ref = SplitMix64(99), SplitMix64(99)
