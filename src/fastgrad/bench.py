@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,7 +163,7 @@ class SweepSpec:
 
 def build_problem(spec: ProblemSpec):
     if isinstance(spec, QuadraticSpec):
-        return QuadraticProblem(diag=np.array(spec.diag))
+        return QuadraticProblem(diag=spec.diag)
     if isinstance(spec, LogRegSpec):
         return gen_logreg(spec.n_samples, spec.n_features, spec.reg, spec.seed)
     if isinstance(spec, LogRegCsvSpec):
@@ -287,15 +287,6 @@ def _build_all(specs: list[ExperimentSpec]) -> list:
     return [built[spec.problem] for spec in specs]
 
 
-def _solve_all(specs: list[ExperimentSpec]) -> Iterator[tuple]:
-    """Build every problem as _build_all does, then solve in order.
-
-    Yields (problem, result, oracle, cfg) per spec, so a caller holds one result at a time.
-    """
-    for spec, problem in zip(specs, _build_all(specs)):
-        yield (problem, *_execute(spec, problem))
-
-
 def _cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -327,7 +318,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
         raise ValueError("run_experiment requires output_dir")
 
     start_time = time.perf_counter()
-    _, result, oracle, cfg = next(_solve_all([spec]))
+    result, oracle, cfg = _execute(spec, *_build_all([spec]))
     wall = time.perf_counter() - start_time
 
     out = Path(spec.output_dir)
@@ -501,7 +492,8 @@ def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]
             raise ValueError("compare experiments must share the start point")
 
     results: dict[str, DriverResult] = {}
-    for spec, (_, result, _, _) in zip(specs, _solve_all(specs)):
+    for spec, problem in zip(specs, _build_all(specs)):
+        result, _, _ = _execute(spec, problem)
         label = spec.method.label().replace(":", "_").replace(",", "_")
         while label in results:
             label += "+"

@@ -27,7 +27,7 @@ from .core import (
     start_vector,
 )
 from .ogmg import (
-    RunawayLipschitzError,
+    StalledIterate,
     _check_moved,
     _decrease_step,
     _doubled,
@@ -142,9 +142,10 @@ def _adaptive_restarts(
     the new restart point. run_pass(x_ref, L, mu, N) returns the candidate and
     the L after the pass; mu moves with L, so L/mu (hence N) is kept, and is
     clamped to the largest finite float where it grows. The run ends
-    unconverged at the first pass that does not fit the gradient budget, and
-    aborts at a rejected pass that returns its start point, unless an earlier
-    attempt adopted that point and it meets epsilon: then the run ends there."""
+    unconverged at the first pass that does not fit the gradient budget. A
+    StalledIterate, from a step inside the pass or from a rejected pass that
+    returns its start point, ends the run converged at the stalled point when
+    that point meets epsilon, and aborts it otherwise."""
     x_ref = start_vector(oracle, x0)
     g_ref = norm2(oracle.gradient(x_ref))
     res.accepted_points += 1
@@ -164,23 +165,23 @@ def _adaptive_restarts(
             try:
                 cand, L_new = run_pass(x_ref, L, mu_work, halving_budget(L, mu_work))
                 g_cand = norm2(oracle.gradient(cand))
+                mu_work = min(mu_work * (L_new / L), sys.float_info.max)  # keep L/mu unchanged
+                L = L_new
+                if g_cand <= 0.5 * g_ref:
+                    res.accepted_points += 1
+                    res.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
+                    x_ref, g_ref = cand, g_cand
+                    mu_prev = mu_work
+                    break
+                _check_moved(x_ref, g_ref, cand, g_cand, L)
             except BudgetExhausted:
                 return res.finish(False)
-            mu_work = min(mu_work * (L_new / L), sys.float_info.max)  # keep L/mu unchanged
-            L = L_new
-            if g_cand <= 0.5 * g_ref:
-                res.accepted_points += 1
-                res.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
-                x_ref, g_ref = cand, g_cand
-                mu_prev = mu_work
-                break
-            try:
-                _check_moved(x_ref, g_ref, cand, g_cand, L)
-            except RunawayLipschitzError:
-                if g_ref > cfg.epsilon:
+            except StalledIterate as stall:
+                if stall.grad_norm > cfg.epsilon:
                     raise
-                res.accepted_points += 1  # adopted by an earlier attempt; the outer check terminates on it
-                break
+                res.accepted_points += 1  # below the value test's precision, at a point that meets epsilon
+                res.event(EventKind.TERMINATED, stall.x, stall.grad_norm, mu_estimate=mu_prev, L_estimate=stall.L)
+                return res.finish(True)
             res.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
             mu_work /= _BETA
             if g_cand < g_ref:
@@ -235,7 +236,7 @@ def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
                 L_estimate=L_new,
             )
 
-        out = ogmgl_run(oracle, x_ref, L, n, on_restart=on_restart, target=cfg.epsilon)
+        out = ogmgl_run(oracle, x_ref, L, n, on_restart=on_restart)
         return out.x_final, out.L_end
 
     return _adaptive_restarts(oracle, x0, cfg.L0, cfg, run_pass, res)

@@ -37,6 +37,19 @@ class RunawayLipschitzError(RuntimeError):
     """
 
 
+class StalledIterate(RunawayLipschitzError):
+    """At estimate L the steps g/L vanish against x, so no step moves x.
+
+    Carries x, its gradient norm grad_norm and L. Below the value test's precision an
+    x that already meets the target is converged, not stuck: the restart loop of the
+    adaptive drivers, and nothing else, ends such a run converged at x.
+    """
+
+    def __init__(self, what: str, x: Vector, grad_norm: float, L: float, cause: str):
+        super().__init__(f"{what} (gradient norm {grad_norm:.3e}, L {L:.3e}){cause}")
+        self.x, self.grad_norm, self.L = x, grad_norm, L
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Momentum coefficients for a fixed budget of N gradient steps."""
@@ -178,10 +191,10 @@ def _decrease_step(
     """(y, f(y)) for y = x - g/L if f(y) <= f(x) - g_sq/(2L), else None; g_sq is |g|**2.
 
     Below the test's precision, |g| of about sqrt(2*L*ulp(f)), rounding fails it until
-    g/L vanishes against x and it passes with y == x: an accepted non-step, which
-    certifies no decrease and would repeat to the end of the budget, so it aborts.
-    L_first is the caller's first trial estimate; a non-step there, before any
-    doubling, means the estimate was too large for x from the start."""
+    g/L vanishes against x and it passes with y == x: an accepted non-step. It
+    certifies no decrease and would repeat to the end of the budget, so it raises
+    StalledIterate. L_first is the caller's first trial estimate; a non-step there,
+    before any doubling, means the estimate was too large for x from the start."""
     y = x - g / L
     f_y = oracle.value(y)
     if f_y > f_x - g_sq / (2.0 * L):
@@ -193,22 +206,18 @@ def _decrease_step(
             else ": inconsistent value oracle, or a target below the value test's precision of "
             "about sqrt(2*L*ulp(f))"
         )
-        raise RunawayLipschitzError(
-            f"accepted step at grad_calls={oracle.grad_calls} left the iterate unchanged "
-            f"(gradient norm {math.sqrt(g_sq):.3e}, L {L:.3e}){cause}"
-        )
+        what = f"accepted step at grad_calls={oracle.grad_calls} left the iterate unchanged"
+        raise StalledIterate(what, x, math.sqrt(g_sq), L, cause)
     return y, f_y
 
 
 def _check_moved(x: Vector, g: float, x_new: Vector, g_new: float, L: float) -> None:
-    """RunawayLipschitzError if a pass from x (gradient norm g) at L returned x bit for bit:
+    """StalledIterate at x if a pass from x (gradient norm g) at L returned x bit for bit:
     its steps g/L vanished against x, and at that L no later pass moves it either. The
     norms are compared first and the arrays only on a tie, as in _decrease_step."""
     if g_new == g and np.array_equal(x_new, x):
-        raise RunawayLipschitzError(
-            f"a pass at L {L:.3e} returned its start point (gradient norm {g:.3e}): "
-            "its steps g/L vanish against x, so L looks far too large"
-        )
+        cause = ": its steps g/L vanish against x, so L looks far too large"
+        raise StalledIterate("a pass returned its start point", x, g, L, cause)
 
 
 def ogmgl_run(
@@ -219,7 +228,6 @@ def ogmgl_run(
     *,
     on_restart: Optional[RestartCallback] = None,
     step_probe: Optional[StepProbe] = None,
-    target: float = 0.0,
 ) -> OgmglOutcome:
     """Budget-N accelerated run that tunes the smoothness estimate on the fly.
 
@@ -231,29 +239,22 @@ def ogmgl_run(
     the logistic objective computes X @ w once for each step's f(x), grad f(x)
     pair. A pass starts only if N + 1 gradients fit the oracle's budget (else
     BudgetExhausted): its N steps plus the one that judges its final point.
-    Past L_in * 2**60, _doubled raises RunawayLipschitzError. Where
-    _decrease_step would abort at an iterate whose gradient norm is at most
-    target, the pass ends there and returns that iterate instead.
+    Past L_in * 2**60, _doubled raises RunawayLipschitzError. An accepted step
+    that leaves the iterate unchanged raises StalledIterate, which carries that
+    iterate: whether it is converged is the caller's call.
     """
     if not math.isfinite(L_in) or L_in <= 0.0:
         raise ValueError(f"L_in must be positive and finite, got {L_in}")
     x0 = start_vector(oracle, x0)
     L_hat = L_in / 2.0
     restarts = 0
-    reached: Optional[Vector] = None
 
     def step(i: int, x: Vector) -> Optional[Vector]:
-        nonlocal L_hat, restarts, reached
+        nonlocal L_hat, restarts
         f_x = oracle.value(x)
         g = oracle.gradient(x)
         g_sq = float(g.dot(g))
-        try:
-            accepted = _decrease_step(oracle, x, f_x, g, g_sq, L_hat, L_in / 2.0)
-        except RunawayLipschitzError:
-            if math.sqrt(g_sq) > target:
-                raise
-            reached = x  # below the value test's precision, but x already meets the target
-            return None
+        accepted = _decrease_step(oracle, x, f_x, g, g_sq, L_hat, L_in / 2.0)
         if accepted is None:
             restarts += 1
             L_hat = _doubled(L_hat, L_in)
@@ -268,7 +269,5 @@ def ogmgl_run(
     while True:
         oracle.reserve(N + 1)
         x = _momentum_pass(x0, N, step)
-        if x is None:
-            x = reached
         if x is not None:
             return OgmglOutcome(x_final=x, L_end=L_hat, inner_restarts=restarts)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Objective, Vector, as_vector
+from .core import Objective, Vector
 from .rng import SplitMix64
 
 _POWER_ITER_SEED = 0x5EED
@@ -29,10 +29,11 @@ class QuadraticProblem:
     diag: Vector
 
     def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=np.float64)
+        diag = np.array(self.diag, dtype=np.float64, ndmin=1)
         if not np.all(np.isfinite(diag) & (diag > 0.0)):
             raise ValueError("all curvatures must be finite and strictly positive")
-        diag = as_vector(diag).copy()
+        if diag.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {diag.shape}")
         diag.setflags(write=False)
         object.__setattr__(self, "diag", diag)
 

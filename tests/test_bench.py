@@ -549,7 +549,14 @@ class TestCli:
          (3, "3e-7", "100"), (4, "1e-6", "100"), (5, "3e-7", "1"), (8, "3e-7", "1")],
     )
     def test_algm_stops_where_a_rejected_pass_meets_the_target(self, tmp_path, seed, eps, l0):
-        # each run reaches a restart point that meets eps and a pass from it that cannot move
+        # each run stalls below the value test's precision at an iterate that meets eps,
+        # and ends there without a gradient to judge it
+        grads, values = {
+            (1, "3e-7", "1"): (1262, 2476), (1, "3e-7", "100"): (1110, 2164),
+            (2, "3e-7", "100"): (896, 1722), (3, "3e-7", "1"): (1151, 2244),
+            (3, "3e-7", "100"): (1081, 2116), (4, "1e-6", "100"): (1075, 2108),
+            (5, "3e-7", "1"): (882, 1710), (8, "3e-7", "1"): (745, 1440),
+        }[seed, eps, l0]
         out = tmp_path / "o"
         code = main([
             "run", "--problem", f"logreg:60,40,0.01,{seed}", "--method", "algm", "--l0", l0,
@@ -559,6 +566,7 @@ class TestCli:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_grad_norm"] <= summary["epsilon"]
+        assert (summary["grad_calls"], summary["value_calls"]) == (grads, values)
         assert summary["value_calls"] <= 2 * summary["grad_calls"] + 61
 
     @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from fastgrad import (
     ugm,
 )
 from fastgrad import drivers
+from fastgrad.ogmg import RunawayLipschitzError, StalledIterate, _doubled
 
 ILL = QuadraticProblem(diag=np.array([1000.0, 0.1]))
 
@@ -258,6 +259,75 @@ class TestAlgm:
         K = 20
         assert oracle.grad_calls <= 8 * math.sqrt(2) * ratio * (3 * K + math.log2(lipschitz_upper_bound(p) / 1.0))
         assert oracle.value_calls <= 2 * oracle.grad_calls
+
+
+# f(0) = 2 with gradient -1, f = 1 with gradient 1e-30 elsewhere: from x0 = 0 at
+# L_in = 2 the first step of a pass moves, and the second, at x near 1.8,
+# cannot, as g/L vanishes against x
+def _cliff_gradient(x):
+    return np.full(1, -1.0 if x[0] == 0.0 else 1e-30)
+
+
+CLIFF = Objective(dim=1, value=lambda x: 2.0 if x[0] == 0.0 else 1.0, gradient=_cliff_gradient)
+
+# gradient norms of the scripted points: the first candidate does not halve the
+# start's norm but improves on it, so it is adopted; it meets epsilon = 1
+SCRIPTED_NORMS = {0.0: 1.5, 1.0: 0.9}
+SCRIPTED = Objective(dim=1, value=lambda x: 0.0, gradient=lambda x: np.full(1, SCRIPTED_NORMS[x[0]]))
+
+
+class TestAdaptiveRestartStalls:
+    """_adaptive_restarts alone turns a StalledIterate that meets epsilon into convergence."""
+
+    def test_stall_inside_a_pass_at_epsilon_terminates_without_judging(self):
+        oracle = CountingOracle(CLIFF)
+        result = algm(oracle, np.zeros(1), SolverConfig(epsilon=1e-30, L0=2.0))
+        assert result.converged and result.accepted_points == 2
+        assert [ev.kind for ev in result.trace.events] == [EventKind.OUTER_STEP, EventKind.TERMINATED]
+        end = result.trace.events[-1]
+        assert (end.grad_norm, end.mu_estimate, end.L_estimate) == (1e-30, 2.0, 1.0)
+        # the start, then the pass's two steps, and no gradient that judges the stall
+        assert (oracle.grad_calls, oracle.value_calls) == (end.grad_calls, end.value_calls) == (3, 4)
+        assert result.best_point[0] != 0.0
+
+    def test_stall_inside_a_pass_above_epsilon_aborts(self):
+        oracle = CountingOracle(CLIFF)
+        with pytest.raises(StalledIterate, match="left the iterate unchanged"):
+            algm(oracle, np.zeros(1), SolverConfig(epsilon=9e-31, L0=2.0))
+
+    def scripted(self, epsilon, second_pass):
+        """Run the restart loop on a first pass that returns x = 1, then on second_pass."""
+        oracle = CountingOracle(SCRIPTED)
+        passes = iter([lambda x_ref, L: (np.ones(1), 4.0), second_pass])
+
+        def run_pass(x_ref, L, mu, n):
+            return next(passes)(x_ref, L)
+
+        cfg = SolverConfig(epsilon=epsilon, L0=2.0)
+        result = drivers._adaptive_restarts(oracle, np.zeros(1), 2.0, cfg, run_pass, drivers.DriverResult(oracle))
+        return result, oracle
+
+    def test_adopted_start_point_at_epsilon_returned_by_a_pass_terminates(self):
+        # an acgm pass whose steps vanish returns its start point bit for bit
+        result, oracle = self.scripted(1.0, lambda x_ref, L: (x_ref, 8.0))
+        kinds = [ev.kind for ev in result.trace.events]
+        assert kinds == [EventKind.OUTER_STEP, EventKind.RETRY, EventKind.TERMINATED]
+        end = result.trace.events[-1]
+        assert result.converged and result.accepted_points == 2
+        assert (end.grad_norm, end.mu_estimate, end.L_estimate) == (0.9, 2.0, 8.0)
+        assert oracle.grad_calls == end.grad_calls == 3
+
+    def test_adopted_start_point_above_epsilon_returned_by_a_pass_aborts(self):
+        with pytest.raises(StalledIterate, match="returned its start point"):
+            self.scripted(0.5, lambda x_ref, L: (x_ref, 8.0))
+
+    def test_runaway_estimate_aborts_at_a_restart_point_that_meets_epsilon(self):
+        def runs_away(x_ref, L):
+            _doubled(2.0**60, 1.0)
+
+        with pytest.raises(RunawayLipschitzError, match="exceeded") as info:
+            self.scripted(1.0, runs_away)
+        assert not isinstance(info.value, StalledIterate)
 
 
 class TestRepeated:

@@ -11,6 +11,7 @@ from fastgrad import (
     make_schedule,
     ogmgl_run,
 )
+from fastgrad.ogmg import StalledIterate
 
 
 def run_with_step_checks(oracle, x0, L_in, n, **kwargs):
@@ -151,18 +152,14 @@ def test_runaway_limit_holds_where_its_product_overflows():
 FLAT = Objective(dim=1, value=lambda x: 1.0, gradient=lambda x: np.full(1, 1e-30))
 
 
-@pytest.mark.parametrize("target", [0.0, 9e-31])
-def test_non_step_above_target_aborts(target):
-    with pytest.raises(RunawayLipschitzError, match="left the iterate unchanged"):
-        ogmgl_run(CountingOracle(FLAT), np.ones(1), 2.0, 3, target=target)
-
-
-def test_non_step_at_target_returns_the_iterate():
+def test_non_step_raises_the_stalled_iterate():
+    # the pass does not judge the iterate; the restart driver does (test_drivers)
     oracle = CountingOracle(FLAT)
     x0 = np.ones(1)
-    out = ogmgl_run(oracle, x0, 2.0, 3, target=1e-30)
-    assert np.array_equal(out.x_final, x0)
-    assert (out.L_end, out.inner_restarts) == (1.0, 0)
+    with pytest.raises(StalledIterate, match="left the iterate unchanged") as stall:
+        ogmgl_run(oracle, x0, 2.0, 3)
+    assert np.array_equal(stall.value.x, x0)
+    assert (stall.value.grad_norm, stall.value.L) == (1e-30, 1.0)
     assert (oracle.grad_calls, oracle.value_calls) == (1, 2)
 
 
