@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -212,13 +213,14 @@ def validate_experiment(spec: ExperimentSpec) -> None:
 def _resolve_epsilon(spec: ExperimentSpec, objective, x0: Vector) -> SolverConfig:
     """Turn a relative target into an absolute one using the start gradient.
 
-    The sizing evaluation runs on the raw objective, outside the counted
-    oracle: it is experiment setup, not solver work.
+    The product is clamped to the finite positive normal floats. The sizing
+    evaluation runs on the raw objective, outside the counted oracle: it is
+    experiment setup, not solver work.
     """
     if spec.eps_rel is None:
         return spec.config
     g0 = norm2(np.asarray(objective.gradient(x0), dtype=np.float64))
-    eps = max(spec.eps_rel * g0, float(np.finfo(np.float64).tiny))
+    eps = min(max(spec.eps_rel * g0, sys.float_info.min), sys.float_info.max)
     return replace(spec.config, epsilon=eps)
 
 
@@ -395,18 +397,17 @@ def _solve_share(share: list[tuple]) -> tuple[list[tuple], Optional[tuple[int, E
     return rows, None
 
 
-def _solve_grid(points: list[tuple], costs: list[float], workers: int) -> list[tuple[int, int, bool]]:
+def _solve_grid(points: list[tuple], workers: int) -> list[tuple[int, int, bool]]:
     """(grad_calls, value_calls, converged) per (spec, problem) point, in grid order.
 
-    Points are dealt round-robin by descending cost (ties by grid index) into
-    one share per worker, each solved in grid order; this process solves the
-    first share and forked workers the others, from copies of their points.
-    The results do not depend on workers. A failure raises the exception of
-    the lowest-indexed failing point, as a serial run would; a worker that
-    dies raises BrokenProcessPool, a RuntimeError.
+    Point i goes to share i mod workers, each share solved in grid order;
+    sweep values ascend, so every share spans the cheap and the costly end.
+    This process solves the first share and forked workers the others, from
+    copies of their points. The results do not depend on workers. A failure
+    raises the exception of the lowest-indexed failing point, as a serial run
+    would; a worker that dies raises BrokenProcessPool, a RuntimeError.
     """
-    by_cost = sorted(range(len(points)), key=lambda i: (-costs[i], i))
-    shares = [[(i, *points[i]) for i in sorted(by_cost[k::workers])] for k in range(workers)]
+    shares = [[(i, *points[i]) for i in range(k, len(points), workers)] for k in range(workers)]
     if workers == 1:
         outcomes = [_solve_share(shares[0])]
     else:  # imported here, so that serial runs never pay for them
@@ -442,8 +443,6 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
         raise ValueError("axis values must be finite and strictly positive")
     if list(values) != sorted(values) or len(set(values)) != len(values):
         raise ValueError("axis values must be sorted ascending without duplicates")
-    if spec.axis == "mu0" and values[-1] > spec.base.config.L0:
-        raise ValueError(f"mu0 axis values must not exceed L0 = {spec.base.config.L0!r}, to which mu0 is clamped")
 
     grid = [
         (value, _sweep_point(spec.base, spec.axis, value, rep))
@@ -452,19 +451,18 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     ]
     points = [point for _, point in grid]
     built = _build_all(points)
-    ratios = [float(np.sqrt(problem.known_L / problem.known_mu)) for problem in built]
     # mu0/L0 points share one instance, whose large products OpenBLAS already threads
     workers = min(len(points), _usable_cpus()) if spec.axis in ("L", "mu") else 1
-    solved = _solve_grid(list(zip(points, built)), ratios, workers)
+    solved = _solve_grid(list(zip(points, built)), workers)
     rows = [
         {
             "axis_value": value,
-            "sqrt_L_over_mu": ratio,
+            "sqrt_L_over_mu": float(np.sqrt(problem.known_L / problem.known_mu)),
             "total_grad_calls": grad_calls,
             "total_value_calls": value_calls,
             "converged": converged,
         }
-        for (value, _), ratio, (grad_calls, value_calls, converged) in zip(grid, ratios, solved)
+        for (value, _), problem, (grad_calls, value_calls, converged) in zip(grid, built, solved)
     ]
     out = Path(spec.base.output_dir)
     out.mkdir(parents=True, exist_ok=True)

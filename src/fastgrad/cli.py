@@ -116,8 +116,8 @@ def _compare_spec(text: str, args) -> ExperimentSpec:
     overrides = {}
     for part in parts[1:]:
         key, _, value = part.partition("=")
-        if key not in ("l0", "mu0") or not value:
-            raise ValueError(f"bad compare spec field {part!r} (expected l0= or mu0=)")
+        if key not in ("l0", "mu0") or not value or key in overrides:
+            raise ValueError(f"bad compare spec field {part!r} (expected l0= or mu0=, each at most once)")
         overrides[key] = float(value)
     ns = argparse.Namespace(**vars(args))
     ns.method = parts[0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,9 +51,9 @@ class SolverConfig:
     """Shared driver configuration.
 
     epsilon is the target gradient norm. mu0 defaults to L0, the choice that
-    makes the strong-convexity adaptation monotone; it is clamped to L0 with
-    a warning if set higher. _MAX_RETRIES_PER_STEP and the working-mu
-    floor _MU_FLOOR_RATIO * mu0 bound the retry loop on objectives where the
+    makes the strong-convexity adaptation monotone; as mu <= L always, a mu0
+    above L0 is an error. _MAX_RETRIES_PER_STEP and the working-mu floor
+    _MU_FLOOR_RATIO * mu0 bound the retry loop on objectives where the
     halving test never passes. The oracle owns the gradient budget.
     """
 
@@ -72,11 +71,7 @@ class SolverConfig:
         if not (math.isfinite(self.mu0) and self.mu0 > 0.0):
             raise ValueError(f"mu0 must be positive, got {self.mu0}")
         if self.mu0 > self.L0:
-            warnings.warn(
-                f"mu0={self.mu0} exceeds L0={self.L0}; clamping mu0 to L0",
-                stacklevel=3,  # past the generated __init__ to its caller
-            )
-            self.mu0 = self.L0
+            raise ValueError(f"mu0={self.mu0} exceeds L0={self.L0}")
 
 
 class DriverResult:

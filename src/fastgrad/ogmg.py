@@ -46,8 +46,12 @@ class StalledIterate(RunawayLipschitzError):
     """
 
     def __init__(self, what: str, x: Vector, grad_norm: float, L: float, cause: str):
-        super().__init__(f"{what} (gradient norm {grad_norm:.3e}, L {L:.3e}){cause}")
+        super().__init__(what, x, grad_norm, L, cause)  # args rebuild it, so it pickles
         self.x, self.grad_norm, self.L = x, grad_norm, L
+
+    def __str__(self) -> str:
+        what, _, grad_norm, L, cause = self.args
+        return f"{what} (gradient norm {grad_norm:.3e}, L {L:.3e}){cause}"
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +112,16 @@ class TestRunExperiment:
         assert result.converged
         assert len(result.trace.events) == 1
         assert result.trace.events[0].kind == EventKind.TERMINATED
+
+    def test_overflowing_relative_target_is_capped(self, tmp_path):
+        # eps_rel * |grad f(x0)| = 1e600 is capped at the largest float, which the start meets
+        s = spec(tmp_path, method=MethodSpec(name="ugm"), problem=QuadraticSpec(diag=(1e300, 1.0)),
+                 x0=StartSpec("ones"), eps_rel=1e300)
+        result, _ = run_experiment(s)
+        assert result.converged
+        assert [ev.kind for ev in result.trace.events] == [EventKind.TERMINATED]
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["epsilon"] == sys.float_info.max
 
     def test_repeated_method_trace_halves_per_event(self, tmp_path):
         s = spec(
@@ -236,12 +247,12 @@ class TestParallelSweep:
 
     VALUES = ("100", "400", "1600", "6400")
 
-    def sweep(self, tmp_path, monkeypatch, cpus, method="acgm", axis="L", values=VALUES, reps=1):
+    def sweep(self, tmp_path, monkeypatch, cpus, method="acgm", axis="L", values=VALUES, reps=1, x0="gaussian"):
         monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
         out = tmp_path / f"{method}-{axis}-{cpus}"
         argv = [
             "sweep", "--problem", "quadratic:100,1", "--method", method, "--l0", "100",
-            "--eps-rel", "1e-6", "--axis", axis, "--values", ",".join(values),
+            "--eps-rel", "1e-6", "--x0", x0, "--axis", axis, "--values", ",".join(values),
             "--reps", str(reps), "--out", str(out),
         ]
         return main(argv), out / "sweep.csv"
@@ -274,11 +285,24 @@ class TestParallelSweep:
             assert capsys.readouterr().err == "aborted: chosen point L=400.0\n"
             assert not path.exists()
 
+    def test_worker_stall_reaches_the_caller(self, tmp_path, monkeypatch, capsys):
+        # every point's first pass returns its start point; the StalledIterate a
+        # worker raises must unpickle in this process, or the pool reports itself broken
+        errors = []
+        for cpus in (1, 2, 3):
+            code, path = self.sweep(tmp_path, monkeypatch, cpus, "ogmg_repeated:1e20,1e19", values=("1", "2", "4"),
+                                    x0="ones")
+            assert code == 3
+            errors.append(capsys.readouterr().err)
+            assert not path.exists()
+        assert errors[0].startswith("aborted: a pass returned its start point (gradient norm 1.414e+00, L 1.000e+20)")
+        assert errors == [errors[0]] * 3
+
     def test_dead_worker_aborts_without_output(self, tmp_path, monkeypatch, capsys):
         parent, acgm = os.getpid(), bench.acgm
 
         def dying(oracle, x0, L, cfg):
-            if os.getpid() != parent and L == 1600.0:  # the second point of the worker's share
+            if os.getpid() != parent and L == 6400.0:  # the second point of the worker's share
                 os._exit(1)
             return acgm(oracle, x0, L, cfg)
 
@@ -451,6 +475,9 @@ class TestCli:
             ["run", "--problem", "quadratic:1,1", "--method", "acgm:5", "--l0", "1", "--eps", "1", "--out", "x"],
             ["compare", "--problem", "quadratic:1,1", "--l0", "1", "--eps", "1", "--spec", "acgm;beta=2",
              "--out", "x"],
+            # a field given twice would let the last copy win silently
+            ["compare", "--problem", "quadratic:1000,0.1", "--l0", "1000", "--eps-rel", "1e-6",
+             "--spec", "acgm;l0=1000;l0=5", "--out", "x"],
         ],
     )
     def test_invalid_specs_exit_one(self, argv, tmp_path, monkeypatch, capsys):
@@ -593,6 +620,19 @@ class TestCli:
         assert code == 1
         assert "--axis mu0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_mu0_above_l0_is_invalid_for_every_command(self, tmp_path, capsys):
+        common = ["--problem", "quadratic:100,1", "--l0", "100", "--eps-rel", "1e-5"]
+        argvs = [
+            ["run", *common, "--method", "acgm", "--mu0", "1000"],
+            ["compare", *common, "--mu0", "1000", "--spec", "acgm"],
+            ["compare", *common, "--spec", "acgm;mu0=1000"],
+            ["sweep", *common, "--method", "acgm", "--axis", "mu0", "--values", "1,1000"],
+        ]
+        for i, argv in enumerate(argvs):
+            assert main([*argv, "--out", str(tmp_path / str(i))]) == 1
+            assert capsys.readouterr().err == "error: mu0=1000.0 exceeds L0=100.0\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_acgm_requires_l0(self, tmp_path, capsys, command):

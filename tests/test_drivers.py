@@ -74,11 +74,10 @@ class TestSolverConfig:
         cfg = SolverConfig(epsilon=1.0, L0=10.0)
         assert cfg.mu0 == 10.0
 
-    def test_mu0_above_L0_clamps_with_warning(self):
-        with pytest.warns(UserWarning, match="clamping") as record:
-            cfg = SolverConfig(epsilon=1.0, L0=10.0, mu0=100.0)
-        assert cfg.mu0 == 10.0
-        assert record[0].filename == __file__  # reported at the caller, not the dataclass
+    def test_mu0_above_L0_raises(self):
+        with pytest.raises(ValueError, match=r"mu0=100\.0 exceeds L0=10\.0"):
+            SolverConfig(epsilon=1.0, L0=10.0, mu0=100.0)
+        assert SolverConfig(epsilon=1.0, L0=10.0, mu0=10.0).mu0 == 10.0
 
     def test_tiny_L0_constructs(self):
         # mu0 = L0 = 1e-300 is valid; any floor derived from it would underflow

@@ -1,15 +1,19 @@
-"""No module of the package imports a name it never uses, and serial commands
-never import the process pool that parallel sweeps use.
+"""No module of the package imports a name it never uses, serial commands
+never import the process pool that parallel sweeps use, and every exception
+the package defines survives the pickling that carries it out of a worker.
 
 The unused-import check parses each source file with ast, so it needs no linter.
 """
 
 import ast
+import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fastgrad"
@@ -71,3 +75,39 @@ def test_serial_commands_import_no_process_pool(tmp_path):
     serial, parallel = (line for line in done.stdout.splitlines() if not line.startswith("converged"))
     assert serial == "False False"
     assert parallel == "True True"
+
+
+# one sample per exception class defined in the package; a new class needs one here
+EXCEPTION_SAMPLES = {
+    "core.NonFiniteError": ("gradient is not finite",),
+    "core.BudgetExhausted": ("no room for 3 gradients",),
+    "drivers.DivergenceError": ("gradient norm grew 1e+12-fold",),
+    "ogmg.RunawayLipschitzError": ("L doubled past 1e+300",),
+    "ogmg.StalledIterate": ("a pass returned its start point", np.array([1.0, -2.5]), 2.69, 1e20, ": cause"),
+}
+
+
+def package_exceptions():
+    # __init__ re-exports, and importing __main__ would run the command line
+    modules = [importlib.import_module(f"fastgrad.{p.stem}") for p in sorted(PACKAGE.glob("[!_]*.py"))]
+    return sorted(
+        f"{module.__name__.removeprefix('fastgrad.')}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+    )
+
+
+@pytest.mark.parametrize("name", package_exceptions())
+def test_exception_pickles_intact(name):
+    # a sweep worker's failure reaches the caller pickled; one that cannot be
+    # rebuilt breaks the pool instead of reporting the error
+    assert name in EXCEPTION_SAMPLES, f"{name} has no sample in EXCEPTION_SAMPLES"
+    module, _, cls = name.partition(".")
+    exc = getattr(importlib.import_module(f"fastgrad.{module}"), cls)(*EXCEPTION_SAMPLES[name])
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is type(exc)
+    assert str(copy) == str(exc)
+    assert vars(copy).keys() == vars(exc).keys()
+    for attr, value in vars(exc).items():
+        assert np.array_equal(getattr(copy, attr), value)
