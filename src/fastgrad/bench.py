@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
@@ -85,13 +85,26 @@ ProblemSpec = Union[QuadraticSpec, LogRegSpec, LogRegCsvSpec]
 @dataclass(frozen=True)
 class MethodSpec:
     """Which solver to run. ogmg needs n (and an explicit L0 in the config);
-    ogmg_repeated needs its own L and mu; the adaptive methods need only the
-    config seeds."""
+    ogmg_repeated needs its own L and mu, with mu <= L; the adaptive methods
+    need only the config seeds."""
 
     name: str
     n: Optional[int] = None
     L: Optional[float] = None
     mu: Optional[float] = None
+
+    def __post_init__(self):
+        if self.name not in METHODS:
+            raise ValueError(f"unknown method {self.name!r} (expected one of {METHODS})")
+        if self.name == "ogmg" and (self.n is None or self.n < 1):
+            raise ValueError("method ogmg requires a step budget n >= 1")
+        if self.name == "ogmg_repeated":
+            if self.L is None or self.mu is None:
+                raise ValueError("method ogmg_repeated requires explicit L and mu")
+            if not all(math.isfinite(v) and v > 0 for v in (self.L, self.mu)):
+                raise ValueError("ogmg_repeated needs finite positive L and mu")
+            if self.mu > self.L:
+                raise ValueError(f"mu={self.mu} exceeds L={self.L}")
 
     def label(self) -> str:
         if self.name == "ogmg":
@@ -138,28 +151,65 @@ class StartSpec:
     kind: str = "gaussian"
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in START_KINDS:
+            raise ValueError(f"unknown start kind {self.kind!r} (expected one of {START_KINDS})")
+
     def label(self) -> str:
         return f"{self.kind}:{self.seed}" if self.kind == "gaussian" else self.kind
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One solve. Every spec type checks its own fields when it is built, so
+    no command meets an invalid one."""
+
     problem: ProblemSpec
     method: MethodSpec
     config: SolverConfig
     x0: StartSpec = StartSpec()
-    output_dir: Optional[Path] = None
+    output_dir: Path = field(kw_only=True)  # required: every command writes its files there
     eps_rel: Optional[float] = None  # when set, epsilon = eps_rel * |grad f(x0)|
     trace_values: bool = False  # per-iterate value instrumentation (ogmg only)
     max_grad_calls: int = DEFAULT_MAX_GRAD_CALLS  # hard cap, enforced by the oracle
+
+    def __post_init__(self):
+        reg = getattr(self.problem, "reg", 1.0)  # the quadratic family has no regularizer
+        if not (math.isfinite(reg) and reg > 0):
+            raise ValueError(f"reg must be finite and positive, got {reg}")
+        if self.max_grad_calls < 1:
+            raise ValueError(f"max_grad_calls must be >= 1, got {self.max_grad_calls}")
+        if self.method.name == "ogmg" and self.method.n + 1 > self.max_grad_calls:
+            raise ValueError(f"ogmg:{self.method.n} needs n + 1 gradients, over max_grad_calls {self.max_grad_calls}")
+        if self.trace_values and self.method.name != "ogmg":
+            raise ValueError("trace_values instrumentation is only supported for method ogmg")
+        if self.eps_rel is not None and not (math.isfinite(self.eps_rel) and self.eps_rel > 0):
+            raise ValueError(f"eps_rel must be finite and positive, got {self.eps_rel}")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     base: ExperimentSpec
-    axis: str  # one of SWEEP_AXES
-    values: tuple[float, ...]
+    axis: str  # one of SWEEP_AXES; L and mu need a 2-dim quadratic base problem
+    values: tuple[float, ...]  # finite, positive and strictly ascending
     repetitions: int = 1
+
+    def __post_init__(self):
+        values = tuple(float(v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        if not values:
+            raise ValueError("sweep needs at least one axis value")
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError("axis values must be finite and strictly positive")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError("axis values must be sorted ascending without duplicates")
+        if self.axis not in SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {self.axis!r} (expected one of {SWEEP_AXES})")
+        problem = self.base.problem
+        if self.axis in ("L", "mu") and not (isinstance(problem, QuadraticSpec) and len(problem.diag) == 2):
+            raise ValueError(f"axis {self.axis!r} sweeps need a 2-dim quadratic problem")
 
 
 def build_problem(spec: ProblemSpec):
@@ -177,37 +227,7 @@ def make_start(spec: StartSpec, dim: int) -> Vector:
         return np.zeros(dim)
     if spec.kind == "ones":
         return np.ones(dim)
-    if spec.kind == "gaussian":
-        return SplitMix64(spec.seed).normals(dim)
-    raise ValueError(f"unknown start kind: {spec.kind!r} (expected one of {START_KINDS})")
-
-
-def validate_experiment(spec: ExperimentSpec) -> None:
-    reg = getattr(spec.problem, "reg", 1.0)  # the quadratic family has no regularizer
-    if not (math.isfinite(reg) and reg > 0):
-        raise ValueError(f"reg must be finite and positive, got {reg}")
-    if spec.method.name not in METHODS:
-        raise ValueError(f"unknown method {spec.method.name!r} (expected one of {METHODS})")
-    if spec.x0.kind not in START_KINDS:
-        raise ValueError(f"unknown start kind {spec.x0.kind!r}")
-    if spec.max_grad_calls < 1:
-        raise ValueError(f"max_grad_calls must be >= 1, got {spec.max_grad_calls}")
-    if spec.method.name == "ogmg":
-        if spec.method.n is None or spec.method.n < 1:
-            raise ValueError("method ogmg requires a step budget n >= 1")
-        if spec.method.n + 1 > spec.max_grad_calls:
-            raise ValueError(
-                f"ogmg:{spec.method.n} needs n + 1 gradients, over max_grad_calls {spec.max_grad_calls}"
-            )
-    if spec.method.name == "ogmg_repeated":
-        if spec.method.L is None or spec.method.mu is None:
-            raise ValueError("method ogmg_repeated requires explicit L and mu")
-        if not all(math.isfinite(v) and v > 0 for v in (spec.method.L, spec.method.mu)):
-            raise ValueError("ogmg_repeated needs finite positive L and mu")
-    if spec.trace_values and spec.method.name != "ogmg":
-        raise ValueError("trace_values instrumentation is only supported for method ogmg")
-    if spec.eps_rel is not None and not (math.isfinite(spec.eps_rel) and spec.eps_rel > 0):
-        raise ValueError(f"eps_rel must be finite and positive, got {spec.eps_rel}")
+    return SplitMix64(spec.seed).normals(dim)  # gaussian: StartSpec rejects every other kind
 
 
 def _resolve_epsilon(spec: ExperimentSpec, objective, x0: Vector) -> SolverConfig:
@@ -255,7 +275,7 @@ def _run_fixed_budget(
 
 
 def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracle, SolverConfig]:
-    """Solve a validated experiment on problem, the instance built from spec.problem."""
+    """Solve an experiment on problem, the instance built from spec.problem."""
     objective = problem.objective()
     oracle = CountingOracle(objective)
     oracle.max_grad_calls = spec.max_grad_calls
@@ -270,22 +290,16 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
         result = acgm(oracle, x0, cfg.L0, cfg)
     elif m.name == "algm":
         result = algm(oracle, x0, cfg)
-    else:  # ugm: validate_experiment rejects every other name
+    else:  # ugm: MethodSpec rejects every other name
         result = ugm(oracle, x0, cfg)
     return result, oracle, cfg
 
 
 def _build_all(specs: list[ExperimentSpec]) -> list:
-    """Validate every spec, then build each distinct problem once; the instance per spec.
+    """Build each distinct problem once, in order; the instance per spec.
 
-    Nothing is generated until every spec is valid.
-    """
-    for spec in specs:
-        validate_experiment(spec)
-    built = {}  # one instance per distinct problem; sweep points on the mu0/L0 axes share one
-    for spec in specs:
-        if spec.problem not in built:
-            built[spec.problem] = build_problem(spec.problem)
+    Sweep points on the mu0/L0 axes share one instance."""
+    built = {problem: build_problem(problem) for problem in dict.fromkeys(spec.problem for spec in specs)}
     return [built[spec.problem] for spec in specs]
 
 
@@ -314,11 +328,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
 
     Returns the result and the trace file path. The caller maps outcomes to
     exit codes: 0 converged, 2 budget exhausted (1 and 3 arise from
-    validation errors and oracle aborts respectively).
+    invalid specs and oracle aborts respectively).
     """
-    if spec.output_dir is None:
-        raise ValueError("run_experiment requires output_dir")
-
     start_time = time.perf_counter()
     result, oracle, cfg = _execute(spec, *_build_all([spec]))
     wall = time.perf_counter() - start_time
@@ -354,8 +365,6 @@ def _sweep_point(base: ExperimentSpec, axis: str, value: float, rep: int) -> Exp
     problem = base.problem
     cfg = base.config
     if axis in ("L", "mu"):
-        if not isinstance(problem, QuadraticSpec) or len(problem.diag) != 2:
-            raise ValueError(f"axis {axis!r} sweeps need a 2-dim quadratic problem")
         diag = (value, problem.diag[1]) if axis == "L" else (problem.diag[0], value)
         problem = QuadraticSpec(diag=diag)
         # the solver is granted the instance's true smoothness constant;
@@ -363,10 +372,8 @@ def _sweep_point(base: ExperimentSpec, axis: str, value: float, rep: int) -> Exp
         cfg = replace(cfg, L0=max(diag), mu0=None)
     elif axis == "mu0":
         cfg = replace(cfg, mu0=value)
-    elif axis == "L0":
+    else:  # L0: SweepSpec rejects every other axis
         cfg = replace(cfg, L0=value, mu0=None)
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r} (expected one of {SWEEP_AXES})")
     x0 = base.x0
     if x0.kind == "gaussian":
         x0 = StartSpec(kind="gaussian", seed=x0.seed + rep)
@@ -426,27 +433,16 @@ def _solve_grid(points: list[tuple], workers: int) -> list[tuple[int, int, bool]
 def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     """Run every grid point x repetition; write one summary row each.
 
-    All grid points are validated and built before any of them executes.
+    Every grid point is built, and each distinct problem generated, before
+    any of them executes; replace() re-checks each point's spec.
     Points of the L and mu axes, each its own 2-d quadratic, are solved in
     parallel on up to one process per usable CPU. Rows are written in grid
     order and do not depend on the process count, so fixed seeds give
     bit-identical files.
     """
-    if spec.base.output_dir is None:
-        raise ValueError("run_sweep requires output_dir on the base experiment")
-    if spec.repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    values = tuple(float(v) for v in spec.values)
-    if not values:
-        raise ValueError("sweep needs at least one axis value")
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise ValueError("axis values must be finite and strictly positive")
-    if list(values) != sorted(values) or len(set(values)) != len(values):
-        raise ValueError("axis values must be sorted ascending without duplicates")
-
     grid = [
         (value, _sweep_point(spec.base, spec.axis, value, rep))
-        for value in values
+        for value in spec.values
         for rep in range(spec.repetitions)
     ]
     points = [point for _, point in grid]
@@ -481,8 +477,6 @@ def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]
     if not specs:
         raise ValueError("compare needs at least one experiment")
     first = specs[0]
-    if first.output_dir is None:
-        raise ValueError("compare requires output_dir on the first experiment")
     for other in specs[1:]:
         if other.problem != first.problem:
             raise ValueError("compare experiments must share the problem")

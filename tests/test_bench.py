@@ -34,8 +34,11 @@ from fastgrad import (
 from fastgrad import bench, problems
 from fastgrad.bench import (
     METHOD_FORMS,
+    METHODS,
     PROBLEM_FORMS,
+    START_KINDS,
     TRACE_HEADER,
+    build_problem,
     make_start,
     parse_method,
     parse_problem,
@@ -161,6 +164,10 @@ class TestRunExperiment:
         gauss = make_start(StartSpec("gaussian", 5), 3)
         assert np.array_equal(gauss, SplitMix64(5).normals(3))
 
+    def test_build_problem_rejects_unknown_spec(self):
+        with pytest.raises(ValueError, match="unknown problem spec"):
+            build_problem("quadratic:1,1")
+
 
 class TestSweep:
     def base(self, tmp_path, **kwargs):
@@ -199,19 +206,21 @@ class TestSweep:
         assert rows[0]["sqrt_L_over_mu"] == rows[1]["sqrt_L_over_mu"]
 
     @pytest.mark.parametrize(
-        "axis,values,message",
+        "axis,values,reps,message",
         [  # explicit ids keep the names the cases had before the axis argument
-            pytest.param("L", (400.0, 100.0), "ascending", id="values0-ascending"),
-            pytest.param("L", (100.0, 100.0), "ascending", id="values1-ascending"),
-            pytest.param("L", (-1.0, 2.0), "positive", id="values2-positive"),
-            pytest.param("L", (), "at least one", id="values3-at least one"),
-            pytest.param("mu", (math.nan,), "positive", id="mu-nan-positive"),
-            pytest.param("mu0", (1.0, 1000.0), "L0", id="mu0-above-L0"),
+            pytest.param("L", (400.0, 100.0), 1, "ascending", id="values0-ascending"),
+            pytest.param("L", (100.0, 100.0), 1, "ascending", id="values1-ascending"),
+            pytest.param("L", (-1.0, 2.0), 1, "positive", id="values2-positive"),
+            pytest.param("L", (), 1, "at least one", id="values3-at least one"),
+            pytest.param("mu", (math.nan,), 1, "positive", id="mu-nan-positive"),
+            pytest.param("mu0", (1.0, 1000.0), 1, "L0", id="mu0-above-L0"),
+            pytest.param("beta", (1.0,), 1, "unknown sweep axis", id="unknown-axis"),
+            pytest.param("L", (100.0,), 0, "repetitions must be >= 1", id="zero-repetitions"),
         ],
     )
-    def test_invalid_values_rejected(self, tmp_path, axis, values, message):
+    def test_invalid_values_rejected(self, tmp_path, axis, values, reps, message):
         with pytest.raises(ValueError, match=message):
-            run_sweep(SweepSpec(base=self.base(tmp_path), axis=axis, values=values))
+            run_sweep(SweepSpec(base=self.base(tmp_path), axis=axis, values=values, repetitions=reps))
         assert not (tmp_path / "run").exists()
 
     def test_each_point_bounds_smoothness_once(self, tmp_path, monkeypatch):
@@ -256,6 +265,10 @@ class TestParallelSweep:
             "--reps", str(reps), "--out", str(out),
         ]
         return main(argv), out / "sweep.csv"
+
+    def test_one_cpu_without_a_cpu_set(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert bench._usable_cpus() == 1
 
     @pytest.mark.parametrize("axis,values", [("L", VALUES), ("mu", ("0.25", "1", "4", "16"))])
     @pytest.mark.parametrize("method", ["acgm", "algm", "ugm", "ogmg_repeated:6400,0.25"])
@@ -327,23 +340,28 @@ class TestParallelSweep:
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 @pytest.mark.parametrize(
     "invalid,message",
-    [
-        (dict(method=MethodSpec(name="ogmg")), "step budget"),
-        (dict(eps_rel=math.nan), "eps_rel"),
-        (dict(max_grad_calls=0), "max_grad_calls must be >= 1"),
-        (dict(method=MethodSpec(name="ogmg", n=5), max_grad_calls=5), r"ogmg:5 needs n \+ 1 gradients, over max_grad_calls 5"),
-        (dict(method=MethodSpec(name="ogmg_repeated", L=math.inf, mu=1.0)), "finite positive L and mu"),
-        (dict(method=MethodSpec(name="ogmg_repeated", L=1000.0, mu=math.nan)), "finite positive L and mu"),
+    [  # each case builds its fields in the test, where the spec types raise
+        (lambda: dict(method=MethodSpec(name="ogmg")), "step budget"),
+        (lambda: dict(eps_rel=math.nan), "eps_rel"),
+        (lambda: dict(max_grad_calls=0), "max_grad_calls must be >= 1"),
+        (lambda: dict(method=MethodSpec(name="ogmg", n=5), max_grad_calls=5),
+         r"ogmg:5 needs n \+ 1 gradients, over max_grad_calls 5"),
+        (lambda: dict(method=MethodSpec(name="ogmg_repeated", L=math.inf, mu=1.0)), "finite positive L and mu"),
+        (lambda: dict(method=MethodSpec(name="ogmg_repeated", L=1000.0, mu=math.nan)), "finite positive L and mu"),
+        (lambda: dict(method=MethodSpec(name="ogmg_repeated", L=1000.0, mu=2000.0)), r"mu=2000\.0 exceeds L=1000\.0"),
+        (lambda: dict(method=MethodSpec(name="newton")), "unknown method 'newton'"),
+        (lambda: dict(x0=StartSpec("uniform")), "unknown start kind 'uniform'"),
     ],
-    ids=["ogmg-without-n", "nan-eps-rel", "zero-budget", "ogmg-over-budget", "repeated-inf-L", "repeated-nan-mu"],
+    ids=["ogmg-without-n", "nan-eps-rel", "zero-budget", "ogmg-over-budget", "repeated-inf-L", "repeated-nan-mu",
+         "repeated-mu-over-L", "unknown-method", "unknown-start"],
 )
 def test_invalid_spec_aborts_before_anything_runs(tmp_path, monkeypatch, command, invalid, message):
     calls = []
     monkeypatch.setattr(bench, "gen_logreg", lambda *a: calls.append(a))
     problem = LogRegSpec(30, 20, 1.0, 5)
     valid = spec(tmp_path, problem=problem)
-    invalid = spec(tmp_path, problem=problem, **invalid)
     with pytest.raises(ValueError, match=message):
+        invalid = spec(tmp_path, problem=problem, **invalid())
         if command == "run":
             run_experiment(invalid)
         elif command == "sweep":
@@ -352,6 +370,48 @@ def test_invalid_spec_aborts_before_anything_runs(tmp_path, monkeypatch, command
             compare([valid, invalid])
     assert calls == []
     assert not (tmp_path / "run").exists()
+
+
+def mostly_positive(low, high):
+    """None, an invalid constant, or (most often) a log-uniform value in [10**low, 10**high]."""
+    invalid = st.none() | st.sampled_from([0.0, -1.0, math.inf, math.nan])
+    return st.one_of(invalid, *[st.floats(low, high).map(lambda e: 10.0**e)] * 3)
+
+
+@given(
+    name=st.sampled_from(METHODS + ("newton",)),
+    n=st.none() | st.integers(-1, 400),
+    L=mostly_positive(-3, 6),
+    mu=mostly_positive(-3, 6),
+    kind=st.sampled_from(START_KINDS + ("uniform",)),
+    eps_rel=mostly_positive(-12, 0),
+    max_grad_calls=st.integers(0, 300),
+    trace_values=st.sampled_from([False, False, True]),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_spec_that_builds_runs_without_value_error(
+    tmp_path_factory, name, n, L, mu, kind, eps_rel, max_grad_calls, trace_values
+):
+    # a spec either fails where it is built, or the run meets no invalid field:
+    # it converges, stops at the cap, or aborts with a RuntimeError
+    try:
+        experiment = ExperimentSpec(
+            problem=ILL,
+            method=MethodSpec(name, n, L, mu),
+            config=SolverConfig(epsilon=1.0, L0=1000.0),
+            x0=StartSpec(kind, 7),
+            output_dir=tmp_path_factory.getbasetemp() / "built-spec",
+            eps_rel=eps_rel,
+            trace_values=trace_values,
+            max_grad_calls=max_grad_calls,
+        )
+    except ValueError:
+        return
+    with np.errstate(all="ignore"):
+        try:
+            run_experiment(experiment)
+        except RuntimeError:
+            pass
 
 
 # log-uniform magnitudes over most of the float range
@@ -363,7 +423,7 @@ problem_specs = st.one_of(
 )
 method_specs = st.one_of(
     st.builds(MethodSpec, st.just("ogmg"), n=st.integers(1, 10**9)),
-    st.builds(MethodSpec, st.just("ogmg_repeated"), L=log_floats, mu=log_floats),
+    st.builds(lambda a, b: MethodSpec("ogmg_repeated", L=max(a, b), mu=min(a, b)), log_floats, log_floats),
     st.sampled_from([MethodSpec(name) for name in ("acgm", "algm", "ugm")]),
 )
 
@@ -426,6 +486,10 @@ class TestCompare:
         with pytest.raises(ValueError, match="share the start"):
             compare(specs)
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one experiment"):
+            compare([])
+
     def test_single_spec_degenerates_to_run(self, tmp_path):
         results, _ = compare([spec(tmp_path)])
         result, _ = run_experiment(spec(tmp_path))
@@ -478,6 +542,13 @@ class TestCli:
             # a field given twice would let the last copy win silently
             ["compare", "--problem", "quadratic:1000,0.1", "--l0", "1000", "--eps-rel", "1e-6",
              "--spec", "acgm;l0=1000;l0=5", "--out", "x"],
+            # mu <= L for every smooth, strongly convex objective
+            ["run", "--problem", "quadratic:1000,0.1", "--method", "ogmg_repeated:1000,2000", "--l0", "1000",
+             "--eps-rel", "1e-6", "--out", "x"],
+            ["run", "--problem", "quadratic:1000,0.1", "--method", "ogmg_repeated:1000,1e300", "--l0", "1000",
+             "--eps-rel", "1e-6", "--out", "x"],
+            ["compare", "--problem", "quadratic:1000,0.1", "--l0", "1000", "--eps-rel", "1e-6",
+             "--spec", "ogmg_repeated:1000,2000", "--out", "x"],
         ],
     )
     def test_invalid_specs_exit_one(self, argv, tmp_path, monkeypatch, capsys):

@@ -81,6 +81,10 @@ def test_as_vector_rejects_matrices():
         as_vector(np.ones((2, 2)))
 
 
+def test_as_vector_promotes_a_scalar():
+    assert np.array_equal(as_vector(3.0), np.array([3.0]))
+
+
 def test_oracle_counts_each_evaluation():
     obj, calls = counting_objective([2.0, 0.5])
     oracle = CountingOracle(obj)
@@ -206,3 +210,9 @@ def test_check_gradient_rejects_non_finite_values():
     obj = Objective(dim=1, value=lambda x: float("inf"), gradient=lambda x: np.zeros(1))
     with pytest.raises(NonFiniteError):
         check_gradient(obj, np.zeros(1))
+
+
+def test_check_gradient_rejects_wrong_gradient_shape():
+    obj = Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(3))
+    with pytest.raises(ValueError, match=r"gradient shape \(3,\) does not match x \(2,\)"):
+        check_gradient(obj, np.zeros(2))

@@ -65,6 +65,21 @@ def test_entry_points_reject_wrong_size_start(entry):
     assert oracle.grad_calls == oracle.value_calls == 0
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        (lambda oracle, x0: acgm(oracle, x0, 0.0, SolverConfig(epsilon=1e-6, L0=2.0)), "L must be positive"),
+        (lambda oracle, x0: ogmg_repeated(oracle, x0, 2.0, 2.0, 0.0), "epsilon must be positive"),
+    ],
+    ids=["acgm-zero-L", "ogmg_repeated-zero-epsilon"],
+)
+def test_entry_points_reject_non_positive_constants(entry, message):
+    oracle = CountingOracle(QuadraticProblem(diag=np.array([2.0])).objective())
+    with pytest.raises(ValueError, match=message):
+        entry(oracle, np.ones(1))
+    assert oracle.grad_calls == oracle.value_calls == 0
+
+
 def outer_norms(result):
     return [e.grad_norm for e in result.trace.events if e.kind == EventKind.OUTER_STEP]
 

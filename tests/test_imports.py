@@ -2,7 +2,8 @@
 never import the process pool that parallel sweeps use, and every exception
 the package defines survives the pickling that carries it out of a worker.
 
-The unused-import check parses each source file with ast, so it needs no linter.
+The unused-import check parses each source file with ast, so it needs no linter;
+it covers the scripts and the tests too.
 """
 
 import ast
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fastgrad"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fastgrad"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,7 +41,13 @@ def test_checker_finds_an_unused_import():
 
 # __init__.py imports names to re-export them
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path",
+    [
+        *sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+        *sorted(ROOT.glob("scripts/*.py")),
+        *sorted(ROOT.glob("tests/*.py")),
+    ],
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -69,6 +69,10 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             QuadraticProblem(diag=np.array([1.0, 0.0]))
 
+    def test_rejects_matrix_curvature(self):
+        with pytest.raises(ValueError, match="1-D vector"):
+            QuadraticProblem(diag=np.ones((2, 2)))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_strong_convexity_sandwich(self, seed):
@@ -153,6 +157,19 @@ class TestLogReg:
     def test_rejects_non_positive_reg(self):
         with pytest.raises(ValueError, match="reg"):
             LogRegProblem(features=np.ones((1, 1)), labels=np.array([1.0]), reg=0.0)
+
+    @pytest.mark.parametrize(
+        "features,labels,message",
+        [
+            (np.ones(2), np.ones(2), "2-D matrix"),
+            (np.ones((2, 2)), np.ones(3), "one entry per feature row"),
+            (np.array([[1.0, np.inf]]), np.ones(1), "non-finite"),
+        ],
+        ids=["vector-features", "label-count", "infinite-feature"],
+    )
+    def test_rejects_malformed_data(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            LogRegProblem(features=features, labels=labels, reg=1.0)
 
 
 @pytest.fixture
@@ -352,6 +369,16 @@ class TestLipschitzBound:
         assert calls == []
         assert p.known_L == p.known_L == bound(p)
         assert len(calls) == 1
+
+    def test_zero_features_bound_is_reg(self):
+        p = LogRegProblem(features=np.zeros((2, 3)), labels=np.array([1.0, -1.0]), reg=0.5)
+        assert lipschitz_upper_bound(p) == 0.5
+
+    def test_unstable_quotient_raises(self, monkeypatch):
+        monkeypatch.setattr(problems, "_POWER_ITER_MAX", 1)
+        p = LogRegProblem(features=np.eye(2), labels=np.array([1.0, -1.0]), reg=1.0)
+        with pytest.raises(RuntimeError, match="did not converge within 1 iterations"):
+            lipschitz_upper_bound(p)
 
     def test_identity_features(self):
         p = LogRegProblem(features=np.eye(2), labels=np.array([1.0, -1.0]), reg=1.0)
