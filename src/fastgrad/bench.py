@@ -86,7 +86,7 @@ ProblemSpec = Union[QuadraticSpec, LogRegSpec, LogRegCsvSpec]
 class MethodSpec:
     """Which solver to run. ogmg needs n (and an explicit L0 in the config);
     ogmg_repeated needs its own L and mu, with mu <= L; the adaptive methods
-    need only the config seeds."""
+    need only the config seeds. No method takes another's fields."""
 
     name: str
     n: Optional[int] = None
@@ -96,6 +96,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHODS:
             raise ValueError(f"unknown method {self.name!r} (expected one of {METHODS})")
+        for attr, owner in (("n", "ogmg"), ("L", "ogmg_repeated"), ("mu", "ogmg_repeated")):
+            if getattr(self, attr) is not None and self.name != owner:
+                raise ValueError(f"method {self.name} takes no {attr} (only {owner} does)")
         if self.name == "ogmg" and (self.n is None or self.n < 1):
             raise ValueError("method ogmg requires a step budget n >= 1")
         if self.name == "ogmg_repeated":
@@ -107,11 +110,8 @@ class MethodSpec:
                 raise ValueError(f"mu={self.mu} exceeds L={self.L}")
 
     def label(self) -> str:
-        if self.name == "ogmg":
-            return f"ogmg:{self.n}"
-        if self.name == "ogmg_repeated":
-            return f"ogmg_repeated:{self.L!r},{self.mu!r}"
-        return self.name
+        payload = ",".join(repr(v) for v in (self.n, self.L, self.mu) if v is not None)
+        return f"{self.name}:{payload}" if payload else self.name
 
     @classmethod
     def parse(cls, name: str, payload: str) -> MethodSpec:
@@ -387,43 +387,57 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _solve_share(share: list[tuple]) -> tuple[list[tuple], Optional[tuple[int, Exception]]]:
-    """Solve (index, spec, problem) points in order, stopping at the first failure.
+_forked_grid: list = []  # (points, claims) in a forked sweep worker, put there by the pool's initializer
+
+
+def _solve_forked_grid() -> tuple[list[tuple], Optional[tuple[int, Exception]]]:
+    return _solve_claims(*_forked_grid)
+
+
+def _take(counter, order: list[int]) -> Optional[int]:
+    """The next point of order from a counter the sweep's processes share; None once all are taken."""
+    with counter.get_lock():  # held for this update alone: a worker killed mid-solve leaves it free
+        k, counter.value = counter.value, counter.value + 1
+    return order[k] if k < len(order) else None
+
+
+def _solve_claims(points: list[tuple], indices: Iterable[int]) -> tuple[list[tuple], Optional[tuple[int, Exception]]]:
+    """Solve the (spec, problem) points at indices; after a failure, only those of lower index.
 
     Returns (index, grad_calls, value_calls, converged) per solved point, and
-    (index, exception) of the failure or None. Any exception counts, so the
-    caller can raise the one a serial run would have raised.
+    (index, exception) of the lowest-indexed failure or None; any exception counts.
     """
-    rows = []
-    for index, spec, problem in share:
-        try:
-            result, oracle, _ = _execute(spec, problem)
-        except Exception as exc:
-            return rows, (index, exc)
-        rows.append((index, oracle.grad_calls, oracle.value_calls, result.converged))
-    return rows, None
+    rows, failure = [], None
+    for index in indices:
+        if failure is None or index < failure[0]:
+            try:
+                result, oracle, _ = _execute(*points[index])
+                rows.append((index, oracle.grad_calls, oracle.value_calls, result.converged))
+            except Exception as exc:
+                failure = (index, exc)
+    return rows, failure
 
 
-def _solve_grid(points: list[tuple], workers: int) -> list[tuple[int, int, bool]]:
+def _solve_grid(points: list[tuple], kappas: list[float], workers: int) -> list[tuple[int, int, bool]]:
     """(grad_calls, value_calls, converged) per (spec, problem) point, in grid order.
 
-    Point i goes to share i mod workers, each share solved in grid order;
-    sweep values ascend, so every share spans the cheap and the costly end.
-    This process solves the first share and forked workers the others, from
-    copies of their points. The results do not depend on workers. A failure
-    raises the exception of the lowest-indexed failing point, as a serial run
-    would; a worker that dies raises BrokenProcessPool, a RuntimeError.
+    This process and workers - 1 forked ones claim points one at a time from a
+    shared counter, largest kappa = L/mu first (Graham's LPT list schedule); the
+    results do not depend on workers. A failure raises the lowest-indexed failing
+    point's exception, as a serial run would; a dead worker, BrokenProcessPool.
     """
-    shares = [[(i, *points[i]) for i in range(k, len(points), workers)] for k in range(workers)]
+    order = sorted(range(len(points)), key=kappas.__getitem__, reverse=True)
     if workers == 1:
-        outcomes = [_solve_share(shares[0])]
+        outcomes = [_solve_claims(points, order)]
     else:  # imported here, so that serial runs never pay for them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_solve_share, share) for share in shares[1:]]
-            outcomes = [_solve_share(shares[0])] + [future.result() for future in futures]
+        context = multiprocessing.get_context("fork")
+        grid = (points, iter(partial(_take, context.Value("q", 0), order), None))
+        with ProcessPoolExecutor(workers - 1, context, initializer=_forked_grid.extend, initargs=(grid,)) as pool:
+            futures = [pool.submit(_solve_forked_grid) for _ in range(workers - 1)]
+            outcomes = [_solve_claims(*grid)] + [future.result() for future in futures]
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -449,16 +463,17 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     built = _build_all(points)
     # mu0/L0 points share one instance, whose large products OpenBLAS already threads
     workers = min(len(points), _usable_cpus()) if spec.axis in ("L", "mu") else 1
-    solved = _solve_grid(list(zip(points, built)), workers)
+    kappas = [problem.known_L / problem.known_mu for problem in built]
+    solved = _solve_grid(list(zip(points, built)), kappas, workers)
     rows = [
         {
             "axis_value": value,
-            "sqrt_L_over_mu": float(np.sqrt(problem.known_L / problem.known_mu)),
+            "sqrt_L_over_mu": float(np.sqrt(kappa)),
             "total_grad_calls": grad_calls,
             "total_value_calls": value_calls,
             "converged": converged,
         }
-        for (value, _), problem, (grad_calls, value_calls, converged) in zip(grid, built, solved)
+        for (value, _), kappa, (grad_calls, value_calls, converged) in zip(grid, kappas, solved)
     ]
     out = Path(spec.base.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,10 +6,13 @@ import os
 import re
 import signal
 import sys
+import time
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fastgrad import (
@@ -281,9 +284,48 @@ class TestParallelSweep:
         assert files[1] == files[0] and files[2] == files[0]
         assert len(files[0].splitlines()) == 1 + 2 * len(values)
 
+    @pytest.mark.parametrize("axis,values", [("L", VALUES), ("mu", ("0.25", "1", "4", "16"))])
+    def test_points_are_claimed_costliest_first(self, tmp_path, monkeypatch, axis, values):
+        # largest L/mu first: descending values on the L axis, ascending on the mu axis
+        claimed, execute = [], bench._execute
+
+        def recording(spec, problem):
+            claimed.append(spec.problem.diag[0 if axis == "L" else 1])
+            return execute(spec, problem)
+
+        monkeypatch.setattr(bench, "_execute", recording)
+        assert self.sweep(tmp_path, monkeypatch, 1, axis=axis, values=values, reps=2)[0] == 0
+        ordered = [float(v) for v in (reversed(values) if axis == "L" else values) for _ in range(2)]
+        assert claimed == ordered
+
+    def test_shared_counter_hands_out_each_point_once_in_order(self):
+        # two claimers drawing on one fresh counter, as this process and a worker do
+        counter = multiprocessing.get_context("fork").Value("q", 0)
+        order = [3, 1, 2, 0]
+        first, second = (iter(partial(bench._take, counter, order), None) for _ in range(2))
+        assert [next(first), next(second), next(second), next(first)] == order
+        assert list(first) == list(second) == []
+
+    def test_every_point_is_solved_once(self, tmp_path, monkeypatch):
+        log, execute = tmp_path / "solves.log", bench._execute
+
+        def logged(spec, problem):
+            with open(log, "a") as fh:  # one short append per solve, from whichever process
+                fh.write(f"{os.getpid()} {spec.problem.diag[0]!r} {spec.x0.seed}\n")
+            return execute(spec, problem)
+
+        monkeypatch.setattr(bench, "_execute", logged)
+        points = sorted(f"{float(v)!r} {seed}" for v in self.VALUES for seed in (0, 1))
+        for cpus in (1, 2, 3):
+            log.write_text("")
+            assert self.sweep(tmp_path, monkeypatch, cpus, reps=2)[0] == 0
+            pids, solved = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+            assert sorted(solved) == points
+            assert str(os.getpid()) in pids and len(set(pids)) <= cpus  # this process claims too
+
     def test_lowest_indexed_failure_is_raised(self, tmp_path, monkeypatch, capsys):
-        # with 3 workers this process solves the 100 and 6400 points and fails at 6400,
-        # while a worker fails at 400, the failure a serial run meets first
+        # points are claimed largest L first, so at every CPU count the failure at
+        # 6400 is met first, yet the sweep raises that of the lower-indexed 400
         acgm = bench.acgm
 
         def aborting(oracle, x0, L, cfg):
@@ -312,11 +354,14 @@ class TestParallelSweep:
         assert errors == [errors[0]] * 3
 
     def test_dead_worker_aborts_without_output(self, tmp_path, monkeypatch, capsys):
+        # a worker dies at the first point it claims, whichever that is; this
+        # process's solves wait, so that the worker surely claims one
         parent, acgm = os.getpid(), bench.acgm
 
         def dying(oracle, x0, L, cfg):
-            if os.getpid() != parent and L == 6400.0:  # the second point of the worker's share
+            if os.getpid() != parent:
                 os._exit(1)
+            time.sleep(0.2)
             return acgm(oracle, x0, L, cfg)
 
         def on_deadline(_signum, _frame):
@@ -378,11 +423,19 @@ def mostly_positive(low, high):
     return st.one_of(invalid, *[st.floats(low, high).map(lambda e: 10.0**e)] * 3)
 
 
+@st.composite
+def method_fields(draw):
+    """A method name with n, L and mu: most often only the fields that method takes, else any."""
+    name = draw(st.sampled_from(METHODS + ("newton",)))
+    n, L, mu = draw(st.none() | st.integers(-1, 400)), draw(mostly_positive(-3, 6)), draw(mostly_positive(-3, 6))
+    if draw(st.sampled_from([True] * 7 + [False])):
+        n = n if name == "ogmg" else None
+        L, mu = (L, mu) if name == "ogmg_repeated" else (None, None)
+    return name, n, L, mu
+
+
 @given(
-    name=st.sampled_from(METHODS + ("newton",)),
-    n=st.none() | st.integers(-1, 400),
-    L=mostly_positive(-3, 6),
-    mu=mostly_positive(-3, 6),
+    fields=method_fields(),
     kind=st.sampled_from(START_KINDS + ("uniform",)),
     eps_rel=mostly_positive(-12, 0),
     max_grad_calls=st.integers(0, 300),
@@ -390,14 +443,14 @@ def mostly_positive(low, high):
 )
 @settings(max_examples=300, deadline=None)
 def test_a_spec_that_builds_runs_without_value_error(
-    tmp_path_factory, name, n, L, mu, kind, eps_rel, max_grad_calls, trace_values
+    tmp_path_factory, fields, kind, eps_rel, max_grad_calls, trace_values
 ):
     # a spec either fails where it is built, or the run meets no invalid field:
     # it converges, stops at the cap, or aborts with a RuntimeError
     try:
         experiment = ExperimentSpec(
             problem=ILL,
-            method=MethodSpec(name, n, L, mu),
+            method=MethodSpec(*fields),
             config=SolverConfig(epsilon=1.0, L0=1000.0),
             x0=StartSpec(kind, 7),
             output_dir=tmp_path_factory.getbasetemp() / "built-spec",
@@ -439,6 +492,15 @@ class TestFormats:
     @settings(max_examples=500, deadline=None)
     def test_method_label_round_trips(self, method):
         assert parse_method(method.label()) == method
+
+    @given(method_specs, st.sampled_from(["n", "L", "mu"]), st.integers(1, 10**9) | log_floats)
+    @settings(max_examples=200, deadline=None)
+    def test_a_field_the_method_ignores_is_rejected(self, method, field, value):
+        # the label would drop the field, so parsing it back would give another spec
+        owner = "ogmg" if field == "n" else "ogmg_repeated"
+        assume(method.name != owner)
+        with pytest.raises(ValueError, match=f"method {method.name} takes no {field} \\(only {owner} does\\)"):
+            replace(method, **{field: value})
 
     def test_unknown_names_list_the_grammar(self):
         with pytest.raises(ValueError, match=re.escape(PROBLEM_FORMS)):
