@@ -170,7 +170,6 @@ class ExperimentSpec:
     x0: StartSpec = StartSpec()
     output_dir: Path = field(kw_only=True)  # required: every command writes its files there
     eps_rel: Optional[float] = None  # when set, epsilon = eps_rel * |grad f(x0)|
-    trace_values: bool = False  # per-iterate value instrumentation (ogmg only)
     max_grad_calls: int = DEFAULT_MAX_GRAD_CALLS  # hard cap, enforced by the oracle
 
     def __post_init__(self):
@@ -181,8 +180,6 @@ class ExperimentSpec:
             raise ValueError(f"max_grad_calls must be >= 1, got {self.max_grad_calls}")
         if self.method.name == "ogmg" and self.method.n + 1 > self.max_grad_calls:
             raise ValueError(f"ogmg:{self.method.n} needs n + 1 gradients, over max_grad_calls {self.max_grad_calls}")
-        if self.trace_values and self.method.name != "ogmg":
-            raise ValueError("trace_values instrumentation is only supported for method ogmg")
         if self.eps_rel is not None and not (math.isfinite(self.eps_rel) and self.eps_rel > 0):
             raise ValueError(f"eps_rel must be finite and positive, got {self.eps_rel}")
 
@@ -210,6 +207,8 @@ class SweepSpec:
         problem = self.base.problem
         if self.axis in ("L", "mu") and not (isinstance(problem, QuadraticSpec) and len(problem.diag) == 2):
             raise ValueError(f"axis {self.axis!r} sweeps need a 2-dim quadratic problem")
+        if self.base.config.mu0 != self.base.config.L0:  # every axis re-derives or overwrites it
+            raise ValueError("sweep sets mu0 per grid point; sweep it with --axis mu0")
 
 
 def build_problem(spec: ProblemSpec):
@@ -244,14 +243,7 @@ def _resolve_epsilon(spec: ExperimentSpec, objective, x0: Vector) -> SolverConfi
     return replace(spec.config, epsilon=eps)
 
 
-def _run_fixed_budget(
-    oracle: CountingOracle,
-    x0: Vector,
-    L: float,
-    n: int,
-    epsilon: float,
-    trace_values: bool,
-) -> DriverResult:
+def _run_fixed_budget(oracle: CountingOracle, x0: Vector, L: float, n: int, epsilon: float) -> DriverResult:
     """Single fixed-budget run wrapped into a DriverResult.
 
     Records one event per iterate; ogmg_run reserves the final verification
@@ -260,17 +252,13 @@ def _run_fixed_budget(
     result = DriverResult(oracle)
 
     def probe(x: Vector, g_vec: Vector) -> None:
-        g = norm2(g_vec)
-        f_val = oracle.value(x) if trace_values else None
-        result.event(EventKind.OUTER_STEP, x, g, f_value=f_val, L_estimate=L)
+        result.event(EventKind.OUTER_STEP, x, norm2(g_vec), L_estimate=L)
 
     x_final = ogmg_run(oracle, x0, L, n, iterate_probe=probe)
     g_final = norm2(oracle.gradient(x_final))
-    f_final = oracle.value(x_final) if trace_values else None
     converged = g_final <= epsilon
     kind = EventKind.TERMINATED if converged else EventKind.OUTER_STEP
-    result.accepted_points = 2  # x0 and x_final
-    result.event(kind, x_final, g_final, f_value=f_final, L_estimate=L)
+    result.event(kind, x_final, g_final, L_estimate=L)
     return result.finish(converged)
 
 
@@ -283,7 +271,7 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
     cfg = _resolve_epsilon(spec, objective, x0)
     m = spec.method
     if m.name == "ogmg":
-        result = _run_fixed_budget(oracle, x0, cfg.L0, m.n, cfg.epsilon, spec.trace_values)
+        result = _run_fixed_budget(oracle, x0, cfg.L0, m.n, cfg.epsilon)
     elif m.name == "ogmg_repeated":
         result = ogmg_repeated(oracle, x0, m.L, m.mu, cfg.epsilon)
     elif m.name == "acgm":
@@ -339,7 +327,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
     trace_path = out / "trace.csv"
     write_trace_csv(result.trace, trace_path)
     summary = {
-        "schema": "fastgrad-run-v1",
+        "schema": "fastgrad-run-v2",
         "problem": spec.problem.label(),
         "method": spec.method.label(),
         "x0": spec.x0.label(),
@@ -350,8 +338,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
         "final_grad_norm": result.trace.events[-1].grad_norm,
         "best_grad_norm": result.best_grad_norm,
         "events": len(result.trace.events),
-        "accepted_points": result.accepted_points,
-        "instrumented_values": spec.trace_values,
         "wall_time_s": wall,
     }
     with open(out / "summary.json", "w") as fh:

@@ -60,7 +60,6 @@ def _experiment(args) -> ExperimentSpec:
         x0=StartSpec(kind=args.x0, seed=args.seed),
         output_dir=Path(args.out),
         eps_rel=args.eps_rel,
-        trace_values=getattr(args, "trace_values", False),
         max_grad_calls=args.max_grad_calls,
     )
 
@@ -86,12 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = subs.add_parser("run", help="execute one configured experiment")
     _add_common(run_p)
-    run_p.add_argument(
-        "--trace-values",
-        action="store_true",
-        dest="trace_values",
-        help="record f at every iterate (ogmg only; adds value evaluations)",
-    )
 
     sweep_p = subs.add_parser("sweep", help="run a one-axis grid of experiments")
     _add_common(sweep_p)
@@ -137,8 +130,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             result, path = run_experiment(_experiment(args))
             ok = result.converged
         elif args.command == "sweep":
-            if args.mu0 is not None:
-                raise ValueError("sweep sets mu0 per grid point; sweep it with --axis mu0")
             values = tuple(float(v) for v in args.values.split(","))
             rows, path = run_sweep(SweepSpec(_experiment(args), args.axis, values, args.reps))
             ok = all(row["converged"] for row in rows)

@@ -80,15 +80,14 @@ class DriverResult:
     event() appends a trace row, reading the counters from the oracle, and
     keeps best_point, the point of minimal observed gradient norm over all
     trace events (the smoothness-adaptive method converges non-monotonically).
-    accepted_points counts the accepted outer points, the start included;
-    rejected attempts appear in the trace as retry events. finish() sets
-    converged. Apart from the trace rows, a run keeps O(dim) memory.
+    The trace is the one record of the run's points: accepted ones are
+    outer_step rows, rejected attempts retry rows. finish() sets converged.
+    Apart from the trace rows, a run keeps O(dim) memory.
     """
 
     def __init__(self, oracle: CountingOracle):
         self._oracle = oracle
         self.trace = RunTrace()
-        self.accepted_points = 0
         self.converged = False
         self.best_point: Optional[Vector] = None
         self.best_grad_norm = math.inf
@@ -143,7 +142,6 @@ def _adaptive_restarts(
     that point meets epsilon, and aborts it otherwise."""
     x_ref = start_vector(oracle, x0)
     g_ref = norm2(oracle.gradient(x_ref))
-    res.accepted_points += 1
     if g_ref > cfg.epsilon:
         res.event(EventKind.OUTER_STEP, x_ref, g_ref, mu_estimate=cfg.mu0, L_estimate=L)
 
@@ -155,7 +153,6 @@ def _adaptive_restarts(
             return res.finish(True)
         mu_work = min(_BETA * mu_prev, sys.float_info.max)
         retries = 0
-        step_start = x_ref
         while True:  # attempts within one outer step
             try:
                 cand, L_new = run_pass(x_ref, L, mu_work, halving_budget(L, mu_work))
@@ -163,7 +160,6 @@ def _adaptive_restarts(
                 mu_work = min(mu_work * (L_new / L), sys.float_info.max)  # keep L/mu unchanged
                 L = L_new
                 if g_cand <= 0.5 * g_ref:
-                    res.accepted_points += 1
                     res.event(EventKind.OUTER_STEP, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
                     x_ref, g_ref = cand, g_cand
                     mu_prev = mu_work
@@ -174,7 +170,6 @@ def _adaptive_restarts(
             except StalledIterate as stall:
                 if stall.grad_norm > cfg.epsilon:
                     raise
-                res.accepted_points += 1  # below the value test's precision, at a point that meets epsilon
                 res.event(EventKind.TERMINATED, stall.x, stall.grad_norm, mu_estimate=mu_prev, L_estimate=stall.L)
                 return res.finish(True)
             res.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
@@ -190,8 +185,6 @@ def _adaptive_restarts(
                     mu_work,
                 )
                 mu_prev = max(mu_work, mu_floor)
-                if x_ref is not step_start:
-                    res.accepted_points += 1
                 break
 
 
@@ -254,7 +247,6 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     while True:
         g_vec = oracle.gradient(x)
         g = norm2(g_vec)
-        res.accepted_points += 1
         if g <= cfg.epsilon:
             res.event(EventKind.TERMINATED, x, g, f_value=f_x, L_estimate=L_cur)
             return res.finish(True)
@@ -294,7 +286,6 @@ def ogmg_repeated(
     res = DriverResult(oracle)
     g0 = g = norm2(oracle.gradient(x))
     while True:
-        res.accepted_points += 1
         if g <= epsilon:
             res.event(EventKind.TERMINATED, x, g, mu_estimate=mu, L_estimate=L)
             return res.finish(True)

@@ -40,6 +40,7 @@ from fastgrad.bench import (
     METHODS,
     PROBLEM_FORMS,
     START_KINDS,
+    SWEEP_AXES,
     TRACE_HEADER,
     build_problem,
     make_start,
@@ -146,17 +147,6 @@ class TestRunExperiment:
         assert len(result.trace.events) == 26  # one per iterate plus the final point
         assert result.trace.events[-1].grad_calls == 26  # n plus the verification call
 
-    def test_trace_values_instrumentation(self, tmp_path):
-        s = spec(tmp_path, method=MethodSpec(name="ogmg", n=10), eps_rel=1e-12, trace_values=True)
-        result, _ = run_experiment(s)
-        assert json.loads((s.output_dir / "summary.json").read_text())["instrumented_values"] is True
-        assert result.trace.events[-1].value_calls == 11
-        assert all(e.f_value is not None for e in result.trace.events)
-
-    def test_trace_values_rejected_for_adaptive_methods(self, tmp_path):
-        with pytest.raises(ValueError, match="trace_values"):
-            run_experiment(spec(tmp_path, trace_values=True))
-
     def test_ogmg_repeated_requires_payload(self, tmp_path):
         with pytest.raises(ValueError, match="explicit L and mu"):
             run_experiment(spec(tmp_path, method=MethodSpec(name="ogmg_repeated")))
@@ -225,6 +215,13 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             run_sweep(SweepSpec(base=self.base(tmp_path), axis=axis, values=values, repetitions=reps))
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_base_mu0_apart_from_L0_is_rejected(self, tmp_path, axis):
+        # every axis re-derives or overwrites mu0 per grid point, so the base's would be dropped
+        base = replace(self.base(tmp_path), config=SolverConfig(epsilon=1.0, L0=100.0, mu0=0.5))
+        with pytest.raises(ValueError, match="--axis mu0"):
+            SweepSpec(base=base, axis=axis, values=(1.0, 2.0))
 
     def test_each_point_bounds_smoothness_once(self, tmp_path, monkeypatch):
         calls = []
@@ -439,12 +436,9 @@ def method_fields(draw):
     kind=st.sampled_from(START_KINDS + ("uniform",)),
     eps_rel=mostly_positive(-12, 0),
     max_grad_calls=st.integers(0, 300),
-    trace_values=st.sampled_from([False, False, True]),
 )
 @settings(max_examples=300, deadline=None)
-def test_a_spec_that_builds_runs_without_value_error(
-    tmp_path_factory, fields, kind, eps_rel, max_grad_calls, trace_values
-):
+def test_a_spec_that_builds_runs_without_value_error(tmp_path_factory, fields, kind, eps_rel, max_grad_calls):
     # a spec either fails where it is built, or the run meets no invalid field:
     # it converges, stops at the cap, or aborts with a RuntimeError
     try:
@@ -455,7 +449,6 @@ def test_a_spec_that_builds_runs_without_value_error(
             x0=StartSpec(kind, 7),
             output_dir=tmp_path_factory.getbasetemp() / "built-spec",
             eps_rel=eps_rel,
-            trace_values=trace_values,
             max_grad_calls=max_grad_calls,
         )
     except ValueError:
@@ -753,6 +746,14 @@ class TestCli:
         assert code == 1
         assert "--axis mu0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_sweep_runs_with_mu0_equal_to_l0(self, tmp_path):
+        # mu0 = L0 is the default, which every axis keeps or overwrites alike
+        common = ["sweep", "--problem", "quadratic:100,1", "--method", "acgm", "--l0", "100",
+                  "--eps-rel", "1e-5", "--axis", "L", "--values", "100,400"]
+        assert main([*common, "--mu0", "100", "--out", str(tmp_path / "set")]) == 0
+        assert main([*common, "--out", str(tmp_path / "default")]) == 0
+        assert (tmp_path / "set" / "sweep.csv").read_bytes() == (tmp_path / "default" / "sweep.csv").read_bytes()
 
     def test_mu0_above_l0_is_invalid_for_every_command(self, tmp_path, capsys):
         common = ["--problem", "quadratic:100,1", "--l0", "100", "--eps-rel", "1e-5"]

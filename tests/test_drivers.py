@@ -118,7 +118,6 @@ class TestAcgm:
         cfg = SolverConfig(epsilon=1e-6, L0=1000.0)
         result = acgm(oracle, np.zeros(2), 1000.0, cfg)
         assert result.converged
-        assert result.accepted_points == 1
         assert oracle.grad_calls == 1 and oracle.value_calls == 0
         assert len(result.trace.events) == 1
         assert result.trace.events[0].kind == EventKind.TERMINATED
@@ -132,8 +131,8 @@ class TestAcgm:
 
     def test_accepted_steps_bounded_by_K(self):
         result, _, cfg = ill_run(kexp=20)
-        # each accepted step at least halves, so at most K accepted moves
-        assert result.accepted_points - 1 <= 20
+        # each accepted step at least halves, so at most K accepted moves after the start row
+        assert len(outer_norms(result)) - 1 <= 20
 
     def test_retry_mu_sequence_is_geometric(self):
         result, _, cfg = ill_run(mu0=1000.0)
@@ -187,9 +186,9 @@ class TestAcgm:
         assert oracle.grad_calls <= 200
         assert any("accepting the best point" in r.message for r in caplog.records)
 
-    def test_forced_accept_counts_an_adopted_point(self, caplog, monkeypatch):
+    def test_forced_accept_adopts_each_improving_retry(self, caplog, monkeypatch):
         # every pass improves on its start without halving it: each retry is
-        # adopted as the restart point and then force-accepted
+        # adopted as the restart point and then force-accepted, which its retry row records
         monkeypatch.setattr(drivers, "_MAX_RETRIES_PER_STEP", 1)
         oracle = CountingOracle(ILL.objective())
         oracle.max_grad_calls = 200
@@ -200,7 +199,6 @@ class TestAcgm:
         assert kinds.count(EventKind.OUTER_STEP) == 2
         assert kinds.count(EventKind.RETRY) == 98
         assert sum("accepting the best point" in r.message for r in caplog.records) == 98
-        assert result.accepted_points == 100
 
 
 class TestUgm:
@@ -231,8 +229,21 @@ class TestAlgm:
         oracle = CountingOracle(ILL.objective())
         result = algm(oracle, np.zeros(2), SolverConfig(epsilon=1e-9, L0=123.0))
         assert result.converged
-        assert result.accepted_points == 1
+        assert [ev.kind for ev in result.trace.events] == [EventKind.TERMINATED]
         assert oracle.grad_calls == 1 and oracle.value_calls == 0
+
+    def test_forced_accept_at_the_default_retry_cap(self, caplog):
+        # from ones with L0 = 3 and epsilon = 1e-300, four outer steps fail the halving
+        # test as often as the default cap allows, and the run still converges
+        oracle = CountingOracle(QuadraticProblem(diag=np.array([1.0, 2.5])).objective())
+        with caplog.at_level(logging.WARNING, logger="fastgrad.drivers"):
+            result = algm(oracle, np.ones(2), SolverConfig(epsilon=1e-300, L0=3.0))
+        assert result.converged
+        assert (oracle.grad_calls, oracle.value_calls) == (5008, 8868)
+        assert oracle.value_calls <= 2 * oracle.grad_calls + 61
+        forced = [r.message for r in caplog.records if "accepting the best point" in r.message]
+        assert len(forced) == 4
+        assert all(message.startswith("halving test failed 60 times") for message in forced)
 
     def test_converges_from_overestimate_and_brackets_L(self):
         result, oracle, _ = ill_run(driver="algm", L=1e6)
@@ -296,7 +307,7 @@ class TestAdaptiveRestartStalls:
     def test_stall_inside_a_pass_at_epsilon_terminates_without_judging(self):
         oracle = CountingOracle(CLIFF)
         result = algm(oracle, np.zeros(1), SolverConfig(epsilon=1e-30, L0=2.0))
-        assert result.converged and result.accepted_points == 2
+        assert result.converged
         assert [ev.kind for ev in result.trace.events] == [EventKind.OUTER_STEP, EventKind.TERMINATED]
         end = result.trace.events[-1]
         assert (end.grad_norm, end.mu_estimate, end.L_estimate) == (1e-30, 2.0, 1.0)
@@ -327,7 +338,7 @@ class TestAdaptiveRestartStalls:
         kinds = [ev.kind for ev in result.trace.events]
         assert kinds == [EventKind.OUTER_STEP, EventKind.RETRY, EventKind.TERMINATED]
         end = result.trace.events[-1]
-        assert result.converged and result.accepted_points == 2
+        assert result.converged
         assert (end.grad_norm, end.mu_estimate, end.L_estimate) == (0.9, 2.0, 8.0)
         assert oracle.grad_calls == end.grad_calls == 3
 

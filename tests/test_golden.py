@@ -23,7 +23,7 @@ CASES = {
         0,
         {
             "trace.csv": "21d80e86781ad60a7d85256a479eecc598a0d7bd892b476ae9497dd71322e8c0",
-            "summary.json": "9a2c84688bc1f2ed2254c6857a56978fdc4846594392c16524539ed43a52298e",
+            "summary.json": "cf3639deffd9ee469676a8e94230d819e48fae66618867561c3b07da56a7bccc",
         },
     ),
     "algm-l0-over": (
@@ -31,7 +31,7 @@ CASES = {
         0,
         {
             "trace.csv": "8b1cae8ee76946024414dc451f8e534be5b0aaf6975a766b21212c7615debccf",
-            "summary.json": "f987d82352ba988511a626a0d9767fe0a8c087a24c95bddac4ae7e75e5c01d34",
+            "summary.json": "3f9c0d87c2f183940d0fd5bdcf0b9e6fdfa164f752f5e153d6f31fff9a50fe66",
         },
     ),
     "algm-l0-under": (
@@ -39,7 +39,7 @@ CASES = {
         0,
         {
             "trace.csv": "dfba0038dca2a5be613bc05864d5f1fa447a33d16e8dfca3df78b4ec93411e37",
-            "summary.json": "b0595243ef66f1c80708f6525716a9416cc3ec76790ed415bf6652c75c93a712",
+            "summary.json": "070e75b0926ce816c84d5f951286a06aa58eac518b2ccfd81f9143b599505c28",
         },
     ),
     "ugm": (
@@ -47,7 +47,7 @@ CASES = {
         0,
         {
             "trace.csv": "8c39a7d6dfd4ba5e9edfbfff1ac74e5c05d37ea0bc57e3e0ff46ebe9f0033cb4",
-            "summary.json": "25b1d8ae6052b0f86e573a2fa43bd1602246b2453d694d8919a8e0a641af0c96",
+            "summary.json": "b2a15be8d1785a37515f549388ab2955281050898a6c1d8532b8cc5a221abf59",
         },
     ),
     "ogmg_repeated": (
@@ -55,7 +55,7 @@ CASES = {
         0,
         {
             "trace.csv": "99556b39a1f45bc8d59a0306e0b99bdfdb7059f2525ee000abe7043b6a543fc0",
-            "summary.json": "cfcbde9fc19caf837c0ff5a8a65ef53b19aaca31d5a71ed05b8fe3dbb1e1ecd7",
+            "summary.json": "7cc24316ee257f5ddd178852f730c157eea5cbdca4f1845f51150e174e224af7",
         },
     ),
     "ogmg": (
@@ -63,15 +63,7 @@ CASES = {
         0,
         {
             "trace.csv": "7bc7a8ce1ec4534034dc2c466f30cabe76f4f3c8526bce17777103d909e23386",
-            "summary.json": "b4fab3c3a246a3c63178f576158e15f9c7e44b50b873e8ce4228f177f9c39327",
-        },
-    ),
-    "ogmg-trace-values": (
-        ["run", "--problem", ILL, "--method", "ogmg:40", "--l0", "1000", "--trace-values", *EPS],
-        2,
-        {
-            "trace.csv": "b8befb99285579b9b2819d01bea6657284aecf588a1cb26fe8466fb15b486b34",
-            "summary.json": "5a54f41c0f17883107dcad8d14ab1d704e4b9a8c4e401f0bce1bca8d15051da9",
+            "summary.json": "b562b2bcaac086c78be1820f4bbb8c55528024323c117a4ef2e8704f2ced6df6",
         },
     ),
     "acgm-budget-exhausted": (
@@ -79,7 +71,7 @@ CASES = {
         2,
         {
             "trace.csv": "94320d70d652d70e83584a59694e28976f8d6b5b57a5c1c215109124b0d5679d",
-            "summary.json": "92ea4ff23a2884272c2e8c5575b38fd3ec9b4543192870da387236faf648587e",
+            "summary.json": "7c1eb9676f54553d5abb6ca4696d3f5f053d1b9a3f851af3c5b5f03ee69f6a4f",
         },
     ),
     "logreg-algm": (
@@ -87,7 +79,7 @@ CASES = {
         0,
         {
             "trace.csv": "ec448c2ac8eb7bad3e8a8631a8bff86acc33b22b2442f7a94b0011e565c2202e",
-            "summary.json": "e91986481b0cfe26247d3424d9b25eac6094138c2654c2735b98837d8dc105fb",
+            "summary.json": "d6271919e27c6654d7278f97ebf91f8d857386108716288dd6788a4d453480ca",
         },
     ),
     "sweep-L": (

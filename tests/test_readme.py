@@ -1,11 +1,15 @@
-"""Every command line in the README's "Command line" section runs and exits 0."""
+"""The README's "Command line" section runs, and its "Output formats" section
+names the files `run` writes: every command line exits 0, and the documented
+`summary.json` fields and `trace.csv` header are the written ones."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from fastgrad.bench import TRACE_HEADER
 from fastgrad.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -18,6 +22,10 @@ def readme_commands():
     return [shlex.split(line) for line in joined.splitlines() if line.strip()]
 
 
+def output_formats():
+    return README.read_text().split("## Output formats", 1)[1].split("\n## ", 1)[0]
+
+
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[1])
 def test_readme_command_exits_zero(argv, tmp_path):
     assert argv[0] == "fastgrad"
@@ -25,3 +33,21 @@ def test_readme_command_exits_zero(argv, tmp_path):
     out = args.index("--out") + 1
     args[out] = str(tmp_path / args[out])
     assert main(args) == 0
+
+
+def test_documented_summary_fields_are_the_written_ones(tmp_path, capsys):
+    assert main([
+        "run", "--problem", "quadratic:1000,0.1", "--method", "acgm", "--l0", "1000",
+        "--eps-rel", "1e-6", "--out", str(tmp_path),
+    ]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    bullet = re.search(r"^- `summary\.json` with (.*?)\n\n", output_formats(), re.DOTALL | re.MULTILINE).group(1)
+    assert f"`schema` (`{summary['schema']}`)" in bullet
+    fields = [name for name in re.findall(r"`([^`]+)`", bullet) if name != summary["schema"]]
+    assert sorted(fields) == sorted(summary)
+
+
+def test_documented_trace_header_is_the_written_one():
+    header = re.search(r"^- `trace\.csv` with header\s+`([^`]+)`", output_formats(), re.MULTILINE).group(1)
+    assert header == TRACE_HEADER
