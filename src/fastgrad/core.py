@@ -143,8 +143,7 @@ class TraceEvent(NamedTuple):
     The fields are trace.csv's columns after event_index, in file order (kind
     is event_kind); the harness derives that file's header and rows from them.
     f_value, mu_estimate and L_estimate are None when the method had no such
-    quantity at hand (values are never evaluated just to fill the trace
-    unless instrumentation was requested explicitly).
+    quantity at hand (values are never evaluated just to fill the trace).
     """
 
     kind: EventKind

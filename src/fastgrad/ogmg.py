@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CountingOracle, NonFiniteError, Vector, _all_finite, start_vector
+from .core import CountingOracle, NonFiniteError, Vector, _all_finite, norm2, start_vector
 
 # Callback signatures:
 #   iterate probe: (x_i, grad_at_x_i) before each step
@@ -192,7 +192,8 @@ def _doubled(L: float, L_ref: float) -> float:
 def _decrease_step(
     oracle: CountingOracle, x: Vector, f_x: float, g: Vector, g_sq: float, L: float, L_first: float
 ) -> Optional[tuple[Vector, float]]:
-    """(y, f(y)) for y = x - g/L if f(y) <= f(x) - g_sq/(2L), else None; g_sq is |g|**2.
+    """(y, f(y)) for y = x - g/L if f(y) <= f(x) - g_sq/(2L), else None; g_sq is |g|**2,
+    or inf where that overflows, and the decrease g_sq/(2L) is then taken as |g|/(2L) * |g|.
 
     Below the test's precision, |g| of about sqrt(2*L*ulp(f)), rounding fails it until
     g/L vanishes against x and it passes with y == x: an accepted non-step. It
@@ -201,7 +202,8 @@ def _decrease_step(
     before any doubling, means the estimate was too large for x from the start."""
     y = x - g / L
     f_y = oracle.value(y)
-    if f_y > f_x - g_sq / (2.0 * L):
+    drop = g_sq / (2.0 * L) if g_sq < math.inf else (g_norm := norm2(g)) / (2.0 * L) * g_norm
+    if f_y > f_x - drop:
         return None
     if f_y >= f_x and g_sq > 0.0 and np.array_equal(y, x):
         cause = (
@@ -257,13 +259,13 @@ def ogmgl_run(
         nonlocal L_hat, restarts
         f_x = oracle.value(x)
         g = oracle.gradient(x)
-        g_sq = float(g.dot(g))
+        g_sq = float(np.vdot(g, g))  # the same sum as g.dot(g), but no overflow warning
         accepted = _decrease_step(oracle, x, f_x, g, g_sq, L_hat, L_in / 2.0)
         if accepted is None:
             restarts += 1
             L_hat = _doubled(L_hat, L_in)
             if on_restart is not None:
-                on_restart(x, math.sqrt(g_sq), f_x, L_hat)
+                on_restart(x, math.sqrt(g_sq) if g_sq < math.inf else norm2(g), f_x, L_hat)
             return None
         y_next, f_y = accepted
         if step_probe is not None:

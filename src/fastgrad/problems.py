@@ -58,7 +58,7 @@ class QuadraticProblem:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogRegProblem:
     """L2-regularized logistic loss over +-1 labels.
 
@@ -73,8 +73,10 @@ class LogRegProblem:
     reg: float
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
+        for name in ("features", "labels"):  # read-only views: the caller's arrays stay writable
+            arr = np.asarray(getattr(self, name), dtype=np.float64).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.features.ndim != 2:
             raise ValueError(f"features must be a 2-D matrix, got {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
@@ -129,15 +131,10 @@ def _logreg_value(p: LogRegProblem, w: Vector, z: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(0.0, -z)) + 0.5 * p.reg * np.dot(w, w))
 
 
-def _sigmoid_of_negative(z: np.ndarray) -> np.ndarray:
-    """sigma(-z) = 1 / (1 + exp(z)), branchwise so exp never overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
-
-
 def _logreg_grad(p: LogRegProblem, w: Vector, z: np.ndarray) -> Vector:
-    s = _sigmoid_of_negative(z)
-    return -(p.features.T @ (p.labels * s)) + p.reg * w
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0.0, e, 1.0) / (1.0 + e)  # sigma(-z) = 1 / (1 + exp(z)); exp(-|z|) never overflows
+    return p.reg * w - p.features.T @ (p.labels * s)
 
 
 def gen_logreg(n_samples: int, n_features: int, reg: float, seed: int) -> LogRegProblem:

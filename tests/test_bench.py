@@ -7,6 +7,7 @@ import re
 import signal
 import sys
 import time
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -671,6 +672,22 @@ class TestCli:
             assert err.startswith(f"aborted: accepted step at grad_calls={grads} left the iterate unchanged")
             assert "before any doubling of L" in err and "L looks far too large" in err
             assert "precision" not in err
+
+    @pytest.mark.parametrize("method", ["ugm", "algm", "acgm"])
+    def test_gradient_whose_square_overflows_converges(self, tmp_path, method):
+        # |g| = 1e200 at the start: |g|**2 overflows, so the decrease test must not square it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "run", "--problem", "quadratic:1e200,1", "--method", method, "--l0", "1e200",
+                "--x0", "ones", "--eps-rel", "1e-6", "--out", str(tmp_path / "o"),
+            ])
+        assert code == 0
+        rows = trace_rows(tmp_path / "o" / "trace.csv")
+        assert rows[0]["grad_norm"] == "1e+200"
+        assert all(math.isfinite(float(row["grad_norm"])) for row in rows)
+        if method == "algm":  # its first trial, at L0/2, fails the test at the start
+            assert rows[1]["event_kind"] == "inner_restart" and rows[1]["grad_norm"] == "1e+200"
 
     @pytest.mark.parametrize("method", ["ogmg:3", "acgm", "algm"])
     def test_non_finite_iterate_exit_three(self, tmp_path, method):

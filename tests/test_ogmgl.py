@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ def test_non_step_raises_the_stalled_iterate():
     assert np.array_equal(stall.value.x, x0)
     assert (stall.value.grad_norm, stall.value.L) == (1e-30, 1.0)
     assert (oracle.grad_calls, oracle.value_calls) == (1, 2)
+
+
+def test_gradient_whose_square_overflows_is_judged_without_squaring():
+    # |g|**2 = 1e400 overflows; the test takes its decrease as |g| / (2L) * |g|, and the
+    # restart reports |g| itself, without an overflow warning
+    oracle = CountingOracle(QuadraticProblem(diag=np.array([1e200, 1.0])).objective())
+    norms = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ogmgl_run(oracle, np.ones(2), 1e200, 3, on_restart=lambda x, g, f, L: norms.append(g))
+    # at L_in/2 and at L_in, f(x) - 5e199 rounds to 0 < f(y) = 0.5: two doublings, as without overflow
+    assert norms == [1e200, 1e200]
+    assert out.L_end == 2e200 and out.inner_restarts == 2
 
 
 def test_rejects_bad_inputs():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -170,6 +171,53 @@ class TestLogReg:
     def test_rejects_malformed_data(self, features, labels, message):
         with pytest.raises(ValueError, match=message):
             LogRegProblem(features=features, labels=labels, reg=1.0)
+
+    def test_is_frozen_over_read_only_views(self):
+        features, labels = np.ones((2, 3)), np.array([1.0, -1.0])
+        p = LogRegProblem(features=features, labels=labels, reg=1.0)
+        for name, value in [("reg", 100.0), ("features", 2 * features), ("labels", -labels)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            p.features[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.labels[0] = -1.0
+        # views, not copies: the caller's arrays are shared and stay writable
+        assert np.shares_memory(p.features, features) and np.shares_memory(p.labels, labels)
+        assert features.flags.writeable and labels.flags.writeable
+
+
+def two_branch_logreg_grad(p, w, z):
+    """Reference gradient: both branches of sigma(-z) evaluated in full, then the
+    negated product plus reg * w."""
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    return -(p.features.T @ (p.labels * s)) + p.reg * w
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from([0.0, -0.0, -800.0, 745.0, 800.0])),
+                 min_size=n, max_size=n),
+        st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n),
+    )),
+    st.integers(1, 4),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_gradient_is_bit_identical_to_the_two_branch_form(margins_labels, dim, reg, seed):
+    # z is passed as given, not derived from w: the gradient's arithmetic is checked at
+    # every margin, including those whose sigmoid is exactly 0 and signed-zero sums
+    margins, labels = margins_labels
+    rng = np.random.default_rng(seed)
+    features = rng.choice([0.0, -0.0, 1.0, -2.5, 0.3], size=(len(labels), dim))
+    w = rng.choice([0.0, -0.0, 1.5, -1e-3], size=dim)
+    p = LogRegProblem(features=features, labels=np.array(labels), reg=reg)
+    z = np.array(margins)
+    got, want = problems._logreg_grad(p, w, z), two_branch_logreg_grad(p, w, z)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.fixture
