@@ -268,18 +268,20 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
     oracle = CountingOracle(objective)
     oracle.max_grad_calls = spec.max_grad_calls
     x0 = make_start(spec.x0, problem.dim)
-    cfg = _resolve_epsilon(spec, objective, x0)
     m = spec.method
-    if m.name == "ogmg":
-        result = _run_fixed_budget(oracle, x0, cfg.L0, m.n, cfg.epsilon)
-    elif m.name == "ogmg_repeated":
-        result = ogmg_repeated(oracle, x0, m.L, m.mu, cfg.epsilon)
-    elif m.name == "acgm":
-        result = acgm(oracle, x0, cfg.L0, cfg)
-    elif m.name == "algm":
-        result = algm(oracle, x0, cfg)
-    else:  # ugm: MethodSpec rejects every other name
-        result = ugm(oracle, x0, cfg)
+    # the oracle or the pass check diagnoses every non-finite result; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        cfg = _resolve_epsilon(spec, objective, x0)
+        if m.name == "ogmg":
+            result = _run_fixed_budget(oracle, x0, cfg.L0, m.n, cfg.epsilon)
+        elif m.name == "ogmg_repeated":
+            result = ogmg_repeated(oracle, x0, m.L, m.mu, cfg.epsilon)
+        elif m.name == "acgm":
+            result = acgm(oracle, x0, cfg.L0, cfg)
+        elif m.name == "algm":
+            result = algm(oracle, x0, cfg)
+        else:  # ugm: MethodSpec rejects every other name
+            result = ugm(oracle, x0, cfg)
     return result, oracle, cfg
 
 

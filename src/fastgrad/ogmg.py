@@ -28,6 +28,8 @@ RestartCallback = Callable[[Vector, float, float, float], None]
 StepProbe = Callable[[int, float, float, float, float], None]
 GradientStep = Callable[[int, Vector], Optional[Vector]]
 
+_VECTOR_MIN = 14  # below this many entries the momentum update on Python floats is faster
+
 
 class RunawayLipschitzError(RuntimeError):
     """The smoothness estimate doubled past any plausible value, or steps g/L vanish against x.
@@ -81,10 +83,11 @@ def make_schedule(N: int) -> Schedule:
     """
     if N < 1:
         raise ValueError(f"step budget must be >= 1, got {N}")
-    theta = np.ones(N + 1)
+    t = [1.0] * (N + 1)  # Python floats: numpy scalars cost more than the arithmetic
     for i in range(N - 1, 0, -1):
-        theta[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta[i + 1] ** 2))
-    theta[0] = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * theta[1] ** 2))
+        t[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[i + 1] ** 2))
+    t[0] = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * t[1] ** 2))
+    theta = np.array(t)
     head, tail = theta[:-1], theta[1:]
     beta = (head - 1.0) * (2.0 * tail - 1.0) / (head * (2.0 * head - 1.0))
     gamma = (2.0 * tail - 1.0) / (2.0 * head - 1.0)
@@ -112,14 +115,24 @@ def _momentum_pass(x0: Vector, N: int, gradient_step: GradientStep) -> Optional[
     gamma_i > 0, an infinite iterate becomes NaN within one step (y - x is
     inf - inf) and NaN persists through the recurrence. The oracle rejects
     non-finite values and gradients at every call.
+
+    Below _VECTOR_MIN entries x_{i+1} is a fresh array of Python floats, each
+    ((y' - y_i) * beta_i + y') + ((y' - x_i) * gamma_i), y' = y_{i+1}: the array path's
+    operations in order, one IEEE rounding each, the same bits without numpy's dispatch.
     """
     sched = make_schedule(N)
     beta, gamma = sched.beta_coef.tolist(), sched.gamma_coef.tolist()
     x = y = x0
+    xs = ys = x0.tolist() if x0.size < _VECTOR_MIN else None
     for i in range(N):
         y_next = gradient_step(i, x)
         if y_next is None:
             return None
+        if xs is not None:
+            b, c, ns = beta[i], gamma[i], y_next.tolist()
+            xs = [((n - v) * b + n) + ((n - u) * c) for n, v, u in zip(ns, ys, xs)]
+            x, ys = np.array(xs), ns
+            continue
         # the update above, same operation order, on fresh arrays: callers may hold x, y, y_next
         d = y_next - y
         d *= beta[i]

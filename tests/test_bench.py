@@ -454,11 +454,10 @@ def test_a_spec_that_builds_runs_without_value_error(tmp_path_factory, fields, k
         )
     except ValueError:
         return
-    with np.errstate(all="ignore"):
-        try:
-            run_experiment(experiment)
-        except RuntimeError:
-            pass
+    try:
+        run_experiment(experiment)
+    except RuntimeError:
+        pass
 
 
 # log-uniform magnitudes over most of the float range
@@ -630,11 +629,10 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_oracle_abort_exit_three(self, tmp_path):
-        with np.errstate(over="ignore"):
-            code = main([
-                "run", "--problem", "quadratic:1e300", "--method", "ugm",
-                "--l0", "1", "--eps", "1e-8", "--x0", "ones", "--out", str(tmp_path / "o"),
-            ])
+        code = main([
+            "run", "--problem", "quadratic:1e300", "--method", "ugm",
+            "--l0", "1", "--eps", "1e-8", "--x0", "ones", "--out", str(tmp_path / "o"),
+        ])
         assert code == 3
         assert not (tmp_path / "o").exists()
 
@@ -689,15 +687,16 @@ class TestCli:
         if method == "algm":  # its first trial, at L0/2, fails the test at the start
             assert rows[1]["event_kind"] == "inner_restart" and rows[1]["grad_norm"] == "1e+200"
 
-    @pytest.mark.parametrize("method", ["ogmg:3", "acgm", "algm"])
-    def test_non_finite_iterate_exit_three(self, tmp_path, method):
-        # step size 1e200 on curvature 1e200 overflows the first iterate
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([
-                "run", "--problem", "quadratic:1e200,1", "--method", method, "--l0", "1e-200",
-                "--x0", "ones", "--eps", "1e-8", "--out", str(tmp_path / "o"),
-            ])
+    @pytest.mark.parametrize("method", ["ogmg:3", "acgm", "algm", "ugm"])
+    def test_non_finite_iterate_exit_three(self, tmp_path, capsys, method):
+        # step size 1e200 on curvature 1e200 overflows the first iterate; the run ends in a
+        # diagnosed abort with no numpy warning, which the test suite's filter makes an error
+        code = main([
+            "run", "--problem", "quadratic:1e200,1", "--method", method, "--l0", "1e-200",
+            "--x0", "ones", "--eps", "1e-8", "--out", str(tmp_path / "o"),
+        ])
         assert code == 3
+        assert capsys.readouterr().err.startswith("aborted:")
         assert not (tmp_path / "o").exists()
 
     # the value-decrease test resolves |g| here only to about 1e-7, some 3e-9 of the start's

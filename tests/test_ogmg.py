@@ -16,6 +16,7 @@ from fastgrad import (
     norm2,
     ogmg_run,
 )
+from fastgrad import ogmg
 from fastgrad.ogmg import _momentum_pass
 
 
@@ -61,6 +62,26 @@ def test_schedule_invariants_hold(n):
 def test_schedule_invariants_full_range():
     for n in range(1, 501):
         check_schedule_invariants(make_schedule(n))
+
+
+def numpy_scalar_schedule(N):
+    # make_schedule's earlier theta loop, over numpy scalars: the reference for its Python-float loop
+    theta = np.ones(N + 1)
+    for i in range(N - 1, 0, -1):
+        theta[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta[i + 1] ** 2))
+    theta[0] = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * theta[1] ** 2))
+    head, tail = theta[:-1], theta[1:]
+    beta = (head - 1.0) * (2.0 * tail - 1.0) / (head * (2.0 * head - 1.0))
+    gamma = (2.0 * tail - 1.0) / (2.0 * head - 1.0)
+    return theta, beta, gamma
+
+
+@pytest.mark.parametrize("budgets", [range(1, 401), [725, 1000, 5793, 100_000]], ids=["1-400", "large"])
+def test_schedule_is_bit_equal_to_the_numpy_scalar_loop(budgets):
+    for N in budgets:
+        s = make_schedule(N)
+        for got, want in zip((s.theta, s.beta_coef, s.gamma_coef), numpy_scalar_schedule(N)):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), N
 
 
 def test_schedule_rejects_zero_budget():
@@ -223,3 +244,68 @@ def test_momentum_pass_never_writes_arrays_it_handed_out(n):
     assert all(out is not a for a, _ in held)
     for a, snapshot in held:
         assert np.array_equal(a, snapshot)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN: a pass that makes one raises."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def scripted_pass(x0, N, script, give_up, vector_min):
+    """_momentum_pass under _VECTOR_MIN = vector_min, with the step y = a_i * x + s_i.
+
+    Returns the outcome (the returned point, None or "non-finite") and, per step, the
+    iterate it was handed, a snapshot of it and the step's result."""
+    seen = []
+
+    def step(i, x):
+        if i == give_up:
+            return None
+        a, s = script[i]
+        y = x * a + s
+        seen.append((x, x.copy(), y))
+        return y
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(ogmg, "_VECTOR_MIN", vector_min)
+        try:
+            out = _momentum_pass(x0, N, step)
+        except NonFiniteError:
+            out = "non-finite"
+    return out, seen
+
+
+@given(
+    dim=st.integers(1, 2 * ogmg._VECTOR_MIN),
+    N=st.integers(1, 40),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_float_and_array_updates_agree_bit_for_bit(dim, N, data):
+    x0 = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim)))
+    plain = st.floats(-2.0, 2.0)
+    script = data.draw(st.lists(st.tuples(plain, plain), min_size=N, max_size=N))
+    if data.draw(st.booleans()):  # a huge a_i or s_i overflows the iterate to inf and then NaN, or nearly
+        huge = st.sampled_from([1e300, -1e300, 1e155, 3e307])
+        script[data.draw(st.integers(0, N - 1))] = data.draw(st.tuples(huge, plain | huge))
+    give_up = data.draw(st.integers(0, N - 1)) if data.draw(st.sampled_from([False, False, True])) else None
+    by_array = scripted_pass(x0, N, script, give_up, vector_min=0)
+    by_floats = scripted_pass(x0, N, script, give_up, vector_min=dim + 1)
+    (out_a, seen_a), (out_f, seen_f) = by_array, by_floats
+    assert len(seen_a) == len(seen_f)
+    for (xa, _, _), (xf, _, _) in zip(seen_a, seen_f):
+        assert same_bits(xa, xf)
+    if isinstance(out_a, np.ndarray):
+        assert isinstance(out_f, np.ndarray) and out_a.tobytes() == out_f.tobytes()
+    else:
+        assert out_a == out_f  # both gave up (None), or both raised NonFiniteError
+    for out, seen in (by_array, by_floats):
+        handed = []
+        for i, (x, snapshot, y) in enumerate(seen):
+            # x0 first, then each x_i in memory no earlier iterate or step result uses
+            assert x is x0 if i == 0 else not any(np.shares_memory(x, a) for a in handed)
+            assert same_bits(x, snapshot)  # never written after it was handed out
+            handed += [x, y]
+        if isinstance(out, np.ndarray):
+            assert not any(np.shares_memory(out, a) for a in handed)
