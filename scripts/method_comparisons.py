@@ -59,14 +59,14 @@ def main():
     overlay(
         "quadratic_exact_mu", args.out, QUADRATIC, 2.0**-24,
         [
-            (MethodSpec("ogmg_repeated", L=1000.0, mu=0.1), SolverConfig(epsilon=1.0, L0=1000.0)),
+            (MethodSpec("ogmg_repeated"), SolverConfig(epsilon=1.0, L0=1000.0, mu0=0.1)),
             (MethodSpec("acgm"), SolverConfig(epsilon=1.0, L0=1000.0, mu0=0.1)),
         ],
     )
     overlay(
         "quadratic_low_mu", args.out, QUADRATIC, 2.0**-20,
         [
-            (MethodSpec("ogmg_repeated", L=1000.0, mu=0.01), SolverConfig(epsilon=1.0, L0=1000.0)),
+            (MethodSpec("ogmg_repeated"), SolverConfig(epsilon=1.0, L0=1000.0, mu0=0.01)),
             (MethodSpec("acgm"), SolverConfig(epsilon=1.0, L0=1000.0, mu0=0.01)),
         ],
     )

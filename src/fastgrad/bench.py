@@ -31,10 +31,11 @@ TRACE_HEADER = ",".join(("event_index", "event_kind", *TraceEvent._fields[1:]))
 SWEEP_HEADER = "axis_value,sqrt_L_over_mu,total_grad_calls,total_value_calls,converged"
 
 METHODS = ("ogmg", "ogmg_repeated", "acgm", "algm", "ugm")
+MU0_METHODS = ("ogmg_repeated", "acgm", "algm")  # the methods that read SolverConfig.mu0
 START_KINDS = ("zeros", "ones", "gaussian")
 SWEEP_AXES = ("L", "mu", "mu0", "L0")
 PROBLEM_FORMS = "quadratic:<diag,...> | logreg:<n,m,reg,seed> | logreg_csv:<path,reg>"
-METHOD_FORMS = "ogmg:<n> | ogmg_repeated:<L,mu> | acgm | algm | ugm"
+METHOD_FORMS = "ogmg:<n> | ogmg_repeated | acgm | algm | ugm"
 
 
 @dataclass(frozen=True)
@@ -85,43 +86,30 @@ ProblemSpec = Union[QuadraticSpec, LogRegSpec, LogRegCsvSpec]
 @dataclass(frozen=True)
 class MethodSpec:
     """Which solver to run. ogmg needs n (and an explicit L0 in the config);
-    ogmg_repeated needs its own L and mu, with mu <= L; the adaptive methods
-    need only the config seeds. No method takes another's fields."""
+    every other method takes no field. The curvature constants live in the
+    SolverConfig: ogmg_repeated runs at its L0 and mu0, as known constants."""
 
     name: str
     n: Optional[int] = None
-    L: Optional[float] = None
-    mu: Optional[float] = None
 
     def __post_init__(self):
         if self.name not in METHODS:
             raise ValueError(f"unknown method {self.name!r} (expected one of {METHODS})")
-        for attr, owner in (("n", "ogmg"), ("L", "ogmg_repeated"), ("mu", "ogmg_repeated")):
-            if getattr(self, attr) is not None and self.name != owner:
-                raise ValueError(f"method {self.name} takes no {attr} (only {owner} does)")
+        if self.n is not None and self.name != "ogmg":
+            raise ValueError(f"method {self.name} takes no n (only ogmg does)")
         if self.name == "ogmg" and (self.n is None or self.n < 1):
             raise ValueError("method ogmg requires a step budget n >= 1")
-        if self.name == "ogmg_repeated":
-            if self.L is None or self.mu is None:
-                raise ValueError("method ogmg_repeated requires explicit L and mu")
-            if not all(math.isfinite(v) and v > 0 for v in (self.L, self.mu)):
-                raise ValueError("ogmg_repeated needs finite positive L and mu")
-            if self.mu > self.L:
-                raise ValueError(f"mu={self.mu} exceeds L={self.L}")
 
     def label(self) -> str:
-        payload = ",".join(repr(v) for v in (self.n, self.L, self.mu) if v is not None)
-        return f"{self.name}:{payload}" if payload else self.name
+        return self.name if self.n is None else f"{self.name}:{self.n!r}"
 
     @classmethod
     def parse(cls, name: str, payload: str) -> MethodSpec:
         if name == "ogmg":
             return cls(name, n=int(payload))
-        if name == "ogmg_repeated":
-            L, mu = payload.split(",")
-            return cls(name, L=float(L), mu=float(mu))
         if payload:
-            raise ValueError(f"method {name} takes no payload")
+            flags = "--l0 and --mu0" if name in MU0_METHODS else "--l0"
+            raise ValueError(f"method {name} takes no payload; its constants come from {flags}")
         return cls(name)
 
 
@@ -209,6 +197,8 @@ class SweepSpec:
             raise ValueError(f"axis {self.axis!r} sweeps need a 2-dim quadratic problem")
         if self.base.config.mu0 != self.base.config.L0:  # every axis re-derives or overwrites it
             raise ValueError("sweep sets mu0 per grid point; sweep it with --axis mu0")
+        if self.axis == "mu0" and self.base.method.name not in MU0_METHODS:
+            raise ValueError(f"method {self.base.method.name} never reads mu0, so a mu0 sweep would repeat one solve")
 
 
 def build_problem(spec: ProblemSpec):
@@ -275,7 +265,7 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
         if m.name == "ogmg":
             result = _run_fixed_budget(oracle, x0, cfg.L0, m.n, cfg.epsilon)
         elif m.name == "ogmg_repeated":
-            result = ogmg_repeated(oracle, x0, m.L, m.mu, cfg.epsilon)
+            result = ogmg_repeated(oracle, x0, cfg.L0, cfg.mu0, cfg.epsilon)
         elif m.name == "acgm":
             result = acgm(oracle, x0, cfg.L0, cfg)
         elif m.name == "algm":

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .bench import (
     METHOD_FORMS,
+    MU0_METHODS,
     PROBLEM_FORMS,
     START_KINDS,
     SWEEP_AXES,
@@ -41,10 +42,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config(args, method: MethodSpec) -> SolverConfig:
+    if args.mu0 is not None and method.name not in MU0_METHODS:
+        raise ValueError(f"method {method.name} never reads mu0; give --mu0 or mu0= only to {', '.join(MU0_METHODS)}")
     l0 = args.l0
     if l0 is None:
-        # ogmg and acgm trust L0 as the true smoothness constant; the others adapt it
-        if method.name in ("ogmg", "acgm"):
+        # ogmg, ogmg_repeated and acgm trust L0 as the true smoothness constant; the others adapt it
+        if method.name in ("ogmg", "ogmg_repeated", "acgm"):
             raise ValueError(f"method {method.name} requires an explicit --l0")
         l0 = 1.0
     eps = 1.0 if args.eps is None else args.eps  # replaced when eps_rel is set

@@ -50,15 +50,14 @@ def as_vector(x) -> Vector:
 
 def norm2(x: Vector) -> float:
     """Euclidean norm of x; rescales when the squared sum under- or overflows."""
-    with np.errstate(over="ignore"):  # an overflow takes the rescale branch below
-        s = float(np.sqrt(np.dot(x, x)))
+    s = math.sqrt(np.vdot(x, x))  # vdot's BLAS sum runs no numpy error check: an overflow is inf, rescaled below
     if 0.0 < s < math.inf:
         return s
     scale = float(np.max(np.abs(x))) if x.size else 0.0
     if scale == 0.0 or not math.isfinite(scale):
         return scale
     z = x / scale
-    return scale * float(np.sqrt(np.dot(z, z)))
+    return scale * math.sqrt(np.vdot(z, z))
 
 
 @dataclass(frozen=True)

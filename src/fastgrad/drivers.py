@@ -46,15 +46,16 @@ class DivergenceError(RuntimeError):
     """The gradient norm exploded relative to its starting value."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Shared driver configuration.
+    """Shared driver configuration, frozen and checked once: replace() re-checks.
 
-    epsilon is the target gradient norm. mu0 defaults to L0, the choice that
-    makes the strong-convexity adaptation monotone; as mu <= L always, a mu0
-    above L0 is an error. _MAX_RETRIES_PER_STEP and the working-mu floor
-    _MU_FLOOR_RATIO * mu0 bound the retry loop on objectives where the
-    halving test never passes. The oracle owns the gradient budget.
+    epsilon is the target gradient norm; L0 and mu0 are the curvature constants
+    (estimates to adapt, or known). mu0 defaults to L0, the choice that makes the
+    strong-convexity adaptation monotone; as mu <= L always, a mu0 above L0 is an
+    error. _MAX_RETRIES_PER_STEP and the working-mu floor _MU_FLOOR_RATIO * mu0
+    bound the retry loop on objectives where the halving test never passes.
+    The oracle owns the gradient budget.
     """
 
     epsilon: float
@@ -67,7 +68,7 @@ class SolverConfig:
         if not (math.isfinite(self.L0) and self.L0 > 0.0):
             raise ValueError(f"L0 must be positive, got {self.L0}")
         if self.mu0 is None:
-            self.mu0 = self.L0
+            object.__setattr__(self, "mu0", self.L0)
         if not (math.isfinite(self.mu0) and self.mu0 > 0.0):
             raise ValueError(f"mu0 must be positive, got {self.mu0}")
         if self.mu0 > self.L0:

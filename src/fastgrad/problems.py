@@ -30,8 +30,8 @@ class QuadraticProblem:
 
     def __post_init__(self):
         diag = np.array(self.diag, dtype=np.float64, ndmin=1)
-        if not np.all(np.isfinite(diag) & (diag > 0.0)):
-            raise ValueError("all curvatures must be finite and strictly positive")
+        if not (diag.size and np.all(np.isfinite(diag) & (diag > 0.0))):
+            raise ValueError("needs at least one curvature, each finite and strictly positive")
         if diag.ndim != 1:
             raise ValueError(f"expected a 1-D vector, got shape {diag.shape}")
         diag.setflags(write=False)

@@ -13,10 +13,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fastgrad import (
+    CountingOracle,
     EventKind,
     ExperimentSpec,
     LogRegCsvSpec,
@@ -32,6 +33,7 @@ from fastgrad import (
     compare,
     lipschitz_upper_bound,
     norm2,
+    ogmg_repeated,
     run_experiment,
     run_sweep,
 )
@@ -49,6 +51,7 @@ from fastgrad.bench import (
     parse_problem,
 )
 from fastgrad.cli import main
+from fastgrad.ogmg import StalledIterate
 
 ILL = QuadraticSpec(diag=(1000.0, 0.1))
 
@@ -134,7 +137,8 @@ class TestRunExperiment:
     def test_repeated_method_trace_halves_per_event(self, tmp_path):
         s = spec(
             tmp_path,
-            method=MethodSpec(name="ogmg_repeated", L=1000.0, mu=0.1),
+            method=MethodSpec(name="ogmg_repeated"),
+            config=SolverConfig(epsilon=1.0, L0=1000.0, mu0=0.1),
             eps_rel=2.0**-20,
         )
         result, trace_path = run_experiment(s)
@@ -148,9 +152,16 @@ class TestRunExperiment:
         assert len(result.trace.events) == 26  # one per iterate plus the final point
         assert result.trace.events[-1].grad_calls == 26  # n plus the verification call
 
-    def test_ogmg_repeated_requires_payload(self, tmp_path):
-        with pytest.raises(ValueError, match="explicit L and mu"):
-            run_experiment(spec(tmp_path, method=MethodSpec(name="ogmg_repeated")))
+    def test_ogmg_repeated_runs_at_the_config_constants(self, tmp_path):
+        # the known-constants baseline takes L from L0 and mu from mu0, as its driver call would
+        s = spec(tmp_path, method=MethodSpec(name="ogmg_repeated"), config=SolverConfig(epsilon=1.0, L0=1000.0, mu0=0.1))
+        result, _ = run_experiment(s)
+        x0 = make_start(s.x0, 2)
+        objective = QuadraticProblem(diag=ILL.diag).objective()
+        epsilon = json.loads((tmp_path / "run" / "summary.json").read_text())["epsilon"]
+        expected = ogmg_repeated(CountingOracle(objective), x0, 1000.0, 0.1, epsilon)
+        assert result.trace.events == expected.trace.events
+        assert {(ev.L_estimate, ev.mu_estimate) for ev in result.trace.events} == {(1000.0, 0.1)}
 
     def test_start_modes(self):
         assert np.array_equal(make_start(StartSpec("zeros"), 3), np.zeros(3))
@@ -272,7 +283,7 @@ class TestParallelSweep:
         assert bench._usable_cpus() == 1
 
     @pytest.mark.parametrize("axis,values", [("L", VALUES), ("mu", ("0.25", "1", "4", "16"))])
-    @pytest.mark.parametrize("method", ["acgm", "algm", "ugm", "ogmg_repeated:6400,0.25"])
+    @pytest.mark.parametrize("method", ["acgm", "algm", "ugm", "ogmg_repeated"])
     def test_worker_count_cannot_change_results(self, tmp_path, monkeypatch, method, axis, values):
         files = []
         for cpus in (1, 2, 3):
@@ -339,17 +350,23 @@ class TestParallelSweep:
             assert not path.exists()
 
     def test_worker_stall_reaches_the_caller(self, tmp_path, monkeypatch, capsys):
-        # every point's first pass returns its start point; the StalledIterate a
-        # worker raises must unpickle in this process, or the pool reports itself broken
-        errors = []
-        for cpus in (1, 2, 3):
-            code, path = self.sweep(tmp_path, monkeypatch, cpus, "ogmg_repeated:1e20,1e19", values=("1", "2", "4"),
-                                    x0="ones")
+        # forked workers stall at every point they claim, and this process's solves wait, so
+        # that a worker surely claims one; the StalledIterate it raises must unpickle in this
+        # process, or the pool reports itself broken
+        parent, acgm = os.getpid(), bench.acgm
+
+        def stalling(oracle, x0, L, cfg):
+            if os.getpid() != parent:
+                raise StalledIterate("a pass returned its start point", x0, math.sqrt(2.0), 1e20, "")
+            time.sleep(0.2)
+            return acgm(oracle, x0, L, cfg)
+
+        monkeypatch.setattr(bench, "acgm", stalling)
+        for cpus in (2, 3):
+            code, path = self.sweep(tmp_path, monkeypatch, cpus)
             assert code == 3
-            errors.append(capsys.readouterr().err)
+            assert capsys.readouterr().err == "aborted: a pass returned its start point (gradient norm 1.414e+00, L 1.000e+20)\n"
             assert not path.exists()
-        assert errors[0].startswith("aborted: a pass returned its start point (gradient norm 1.414e+00, L 1.000e+20)")
-        assert errors == [errors[0]] * 3
 
     def test_dead_worker_aborts_without_output(self, tmp_path, monkeypatch, capsys):
         # a worker dies at the first point it claims, whichever that is; this
@@ -389,9 +406,13 @@ class TestParallelSweep:
         (lambda: dict(max_grad_calls=0), "max_grad_calls must be >= 1"),
         (lambda: dict(method=MethodSpec(name="ogmg", n=5), max_grad_calls=5),
          r"ogmg:5 needs n \+ 1 gradients, over max_grad_calls 5"),
-        (lambda: dict(method=MethodSpec(name="ogmg_repeated", L=math.inf, mu=1.0)), "finite positive L and mu"),
-        (lambda: dict(method=MethodSpec(name="ogmg_repeated", L=1000.0, mu=math.nan)), "finite positive L and mu"),
-        (lambda: dict(method=MethodSpec(name="ogmg_repeated", L=1000.0, mu=2000.0)), r"mu=2000\.0 exceeds L=1000\.0"),
+        # the known-constants baseline's L and mu are the config's L0 and mu0, which it checks
+        (lambda: dict(method=MethodSpec(name="ogmg_repeated"), config=SolverConfig(epsilon=1.0, L0=math.inf)),
+         "L0 must be positive"),
+        (lambda: dict(method=MethodSpec(name="ogmg_repeated"), config=SolverConfig(epsilon=1.0, L0=1000.0, mu0=math.nan)),
+         "mu0 must be positive"),
+        (lambda: dict(method=MethodSpec(name="ogmg_repeated"), config=SolverConfig(epsilon=1.0, L0=1000.0, mu0=2000.0)),
+         r"mu0=2000\.0 exceeds L0=1000\.0"),
         (lambda: dict(method=MethodSpec(name="newton")), "unknown method 'newton'"),
         (lambda: dict(x0=StartSpec("uniform")), "unknown start kind 'uniform'"),
     ],
@@ -423,30 +444,30 @@ def mostly_positive(low, high):
 
 @st.composite
 def method_fields(draw):
-    """A method name with n, L and mu: most often only the fields that method takes, else any."""
+    """A method name with n: most often n only where that method takes it, else any."""
     name = draw(st.sampled_from(METHODS + ("newton",)))
-    n, L, mu = draw(st.none() | st.integers(-1, 400)), draw(mostly_positive(-3, 6)), draw(mostly_positive(-3, 6))
+    n = draw(st.none() | st.integers(-1, 400))
     if draw(st.sampled_from([True] * 7 + [False])):
         n = n if name == "ogmg" else None
-        L, mu = (L, mu) if name == "ogmg_repeated" else (None, None)
-    return name, n, L, mu
+    return name, n
 
 
 @given(
     fields=method_fields(),
+    mu0=mostly_positive(-3, 4),
     kind=st.sampled_from(START_KINDS + ("uniform",)),
     eps_rel=mostly_positive(-12, 0),
     max_grad_calls=st.integers(0, 300),
 )
 @settings(max_examples=300, deadline=None)
-def test_a_spec_that_builds_runs_without_value_error(tmp_path_factory, fields, kind, eps_rel, max_grad_calls):
+def test_a_spec_that_builds_runs_without_value_error(tmp_path_factory, fields, mu0, kind, eps_rel, max_grad_calls):
     # a spec either fails where it is built, or the run meets no invalid field:
     # it converges, stops at the cap, or aborts with a RuntimeError
     try:
         experiment = ExperimentSpec(
             problem=ILL,
             method=MethodSpec(*fields),
-            config=SolverConfig(epsilon=1.0, L0=1000.0),
+            config=SolverConfig(epsilon=1.0, L0=1000.0, mu0=mu0),
             x0=StartSpec(kind, 7),
             output_dir=tmp_path_factory.getbasetemp() / "built-spec",
             eps_rel=eps_rel,
@@ -467,10 +488,10 @@ problem_specs = st.one_of(
     st.builds(LogRegSpec, st.integers(1, 10**6), st.integers(1, 10**6), log_floats, st.integers(0, 2**64 - 1)),
     st.builds(LogRegCsvSpec, st.text(), log_floats),
 )
+FIELDLESS = [name for name in METHODS if name != "ogmg"]
 method_specs = st.one_of(
     st.builds(MethodSpec, st.just("ogmg"), n=st.integers(1, 10**9)),
-    st.builds(lambda a, b: MethodSpec("ogmg_repeated", L=max(a, b), mu=min(a, b)), log_floats, log_floats),
-    st.sampled_from([MethodSpec(name) for name in ("acgm", "algm", "ugm")]),
+    st.sampled_from([MethodSpec(name) for name in FIELDLESS]),
 )
 
 
@@ -486,14 +507,12 @@ class TestFormats:
     def test_method_label_round_trips(self, method):
         assert parse_method(method.label()) == method
 
-    @given(method_specs, st.sampled_from(["n", "L", "mu"]), st.integers(1, 10**9) | log_floats)
-    @settings(max_examples=200, deadline=None)
-    def test_a_field_the_method_ignores_is_rejected(self, method, field, value):
+    @given(st.sampled_from(FIELDLESS), st.integers(1, 10**9))
+    @settings(max_examples=50, deadline=None)
+    def test_a_field_the_method_ignores_is_rejected(self, name, n):
         # the label would drop the field, so parsing it back would give another spec
-        owner = "ogmg" if field == "n" else "ogmg_repeated"
-        assume(method.name != owner)
-        with pytest.raises(ValueError, match=f"method {method.name} takes no {field} \\(only {owner} does\\)"):
-            replace(method, **{field: value})
+        with pytest.raises(ValueError, match=f"method {name} takes no n \\(only ogmg does\\)"):
+            MethodSpec(name, n=n)
 
     def test_unknown_names_list_the_grammar(self):
         with pytest.raises(ValueError, match=re.escape(PROBLEM_FORMS)):
@@ -598,12 +617,13 @@ class TestCli:
             ["compare", "--problem", "quadratic:1000,0.1", "--l0", "1000", "--eps-rel", "1e-6",
              "--spec", "acgm;l0=1000;l0=5", "--out", "x"],
             # mu <= L for every smooth, strongly convex objective
-            ["run", "--problem", "quadratic:1000,0.1", "--method", "ogmg_repeated:1000,2000", "--l0", "1000",
-             "--eps-rel", "1e-6", "--out", "x"],
-            ["run", "--problem", "quadratic:1000,0.1", "--method", "ogmg_repeated:1000,1e300", "--l0", "1000",
+            ["run", "--problem", "quadratic:1000,0.1", "--method", "ogmg_repeated", "--l0", "1000",
+             "--mu0", "2000", "--eps-rel", "1e-6", "--out", "x"],
+            # the known-constants baseline trusts --l0 as the true L, so it gets no default
+            ["run", "--problem", "quadratic:1000,0.1", "--method", "ogmg_repeated", "--mu0", "0.1",
              "--eps-rel", "1e-6", "--out", "x"],
             ["compare", "--problem", "quadratic:1000,0.1", "--l0", "1000", "--eps-rel", "1e-6",
-             "--spec", "ogmg_repeated:1000,2000", "--out", "x"],
+             "--spec", "ogmg_repeated;mu0=2000", "--out", "x"],
         ],
     )
     def test_invalid_specs_exit_one(self, argv, tmp_path, monkeypatch, capsys):
@@ -617,7 +637,7 @@ class TestCli:
         [
             ["run", "--method", "acgm", "--l0", "1e300", "--mu0", "1e-10"],
             ["run", "--method", "algm", "--l0", "1e300", "--mu0", "1e-300"],
-            ["run", "--method", "ogmg_repeated:1e308,1e-308"],
+            ["run", "--method", "ogmg_repeated", "--l0", "1e308", "--mu0", "1e-308"],
             ["compare", "--spec", "acgm;l0=1e300;mu0=1e-10"],
         ],
         ids=["acgm", "algm", "ogmg_repeated", "compare"],
@@ -639,7 +659,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "method",
         [["acgm", "--l0", "1e17"], ["acgm", "--l0", "5e307"], ["algm", "--l0", "5e307"],
-         ["ogmg_repeated:1e17,1e16"]],
+         ["ogmg_repeated", "--l0", "1e17", "--mu0", "1e16"]],
         ids=["acgm", "acgm-5e307", "algm-5e307", "ogmg_repeated"],
     )
     def test_pass_returning_its_start_exit_three(self, tmp_path, capsys, method):
@@ -783,6 +803,41 @@ class TestCli:
             assert main([*argv, "--out", str(tmp_path / str(i))]) == 1
             assert capsys.readouterr().err == "error: mu0=1000.0 exceeds L0=100.0\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["ugm", "ogmg:60"])
+    def test_a_mu0_the_method_never_reads_is_invalid(self, tmp_path, capsys, method):
+        # ugm and the fixed-budget run ignore mu0, so a given one would be dropped
+        name = method.partition(":")[0]
+        common = ["--problem", "quadratic:100,1", "--l0", "100", "--eps-rel", "1e-5"]
+        argvs = [
+            ["run", *common, "--method", method, "--mu0", "0.5"],
+            ["compare", *common, "--mu0", "0.5", "--spec", method],
+            ["compare", *common, "--spec", f"{method};mu0=0.5"],
+            ["sweep", *common, "--method", method, "--mu0", "0.5", "--axis", "L", "--values", "100,400"],
+        ]
+        for i, argv in enumerate(argvs):
+            assert main([*argv, "--out", str(tmp_path / str(i))]) == 1
+            assert capsys.readouterr().err.startswith(f"error: method {name} never reads mu0;")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["ugm", "ogmg:60"])
+    def test_mu0_sweep_of_a_method_that_never_reads_it_is_invalid(self, tmp_path, capsys, method):
+        # each row would repeat one solve
+        code = main([
+            "sweep", "--problem", "quadratic:100,1", "--method", method, "--l0", "100", "--eps-rel", "1e-5",
+            "--axis", "mu0", "--values", "0.01,0.1,1", "--out", str(tmp_path / "s"),
+        ])
+        assert code == 1
+        assert f"error: method {method.partition(':')[0]} never reads mu0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_repeated_payload_form_names_l0_and_mu0(self, tmp_path, capsys, command):
+        common = ["--problem", "quadratic:1000,0.1", "--l0", "1000", "--eps-rel", "1e-6"]
+        flag = "--method" if command == "run" else "--spec"
+        assert main([command, *common, flag, "ogmg_repeated:1000,0.1", "--out", str(tmp_path / "o")]) == 1
+        assert "ogmg_repeated takes no payload; its constants come from --l0 and --mu0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_acgm_requires_l0(self, tmp_path, capsys, command):

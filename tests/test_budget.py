@@ -123,10 +123,10 @@ def test_ill_conditioned_run_stops_at_the_cap(driver):
     assert_within_budget(oracle, schedules, result, 1000)
 
 
-def run_capped(tmp_path, method, eps_rel, cap):
+def run_capped(tmp_path, method, eps_rel, cap, *extra):
     out = tmp_path / f"cap{cap}"
     code = main([
-        "run", "--problem", "quadratic:1000.0,0.1", "--method", method, "--l0", "1000",
+        "run", "--problem", "quadratic:1000.0,0.1", "--method", method, "--l0", "1000", *extra,
         "--eps-rel", eps_rel, "--x0", "gaussian", "--seed", "7",
         "--max-grad-calls", str(cap), "--out", str(out),
     ])
@@ -145,7 +145,7 @@ def test_pass_that_cannot_be_judged_is_not_started(tmp_path):
 
 def test_repetition_needs_room_for_its_judging_gradient(tmp_path):
     # the start gradient plus halving_budget(1000, 0.1) = 283 steps fill the cap of 284
-    calls, _ = run_capped(tmp_path, "ogmg_repeated:1000,0.1", "1e-12", 284)
+    calls, _ = run_capped(tmp_path, "ogmg_repeated", "1e-12", 284, "--mu0", "0.1")
     assert calls == 1
 
 

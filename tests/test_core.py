@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -48,6 +49,35 @@ def test_norm2_rescales_without_warning(scale):
 
 def test_norm2_four_ones():
     assert norm2(np.ones(4)) == pytest.approx(2.0, rel=1e-15)
+
+
+def dot_norm2(x):
+    """norm2 as written on np.dot, whose overflow warning an errstate silenced: the reference."""
+    with np.errstate(over="ignore"):
+        s = float(np.sqrt(np.dot(x, x)))
+    if 0.0 < s < math.inf:
+        return s
+    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    z = x / scale
+    return scale * float(np.sqrt(np.dot(z, z)))
+
+
+@given(
+    dim=st.sampled_from([*range(40), 100, 1000, 3000, 10_000]),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.integers(-1100, 1024),
+    span=st.integers(0, 2100),
+    stride=st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_norm2_matches_the_dot_formula_bit_for_bit(dim, seed, low, span, stride):
+    # entries from subnormals to overflowing squares, contiguous and strided; no warning fires
+    rng = np.random.default_rng(seed)
+    size = dim * stride
+    x = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(low, min(low + span, 1024) + 1, size))[::stride]
+    assert norm2(x) == dot_norm2(x)
 
 
 @given(vectors, st.floats(-1e3, 1e3, allow_nan=False))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -93,6 +94,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=r"mu0=100\.0 exceeds L0=10\.0"):
             SolverConfig(epsilon=1.0, L0=10.0, mu0=100.0)
         assert SolverConfig(epsilon=1.0, L0=10.0, mu0=10.0).mu0 == 10.0
+
+    def test_is_frozen_and_replace_rechecks(self):
+        cfg = SolverConfig(epsilon=1.0, L0=10.0)
+        for name, value in (("epsilon", -1.0), ("mu0", 5000.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert (cfg.epsilon, cfg.L0, cfg.mu0) == (1.0, 10.0, 10.0)
+        with pytest.raises(ValueError, match=r"mu0=5000\.0 exceeds L0=10\.0"):
+            dataclasses.replace(cfg, mu0=5000.0)
+        assert dataclasses.replace(cfg, L0=20.0, mu0=None).mu0 == 20.0
 
     def test_tiny_L0_constructs(self):
         # mu0 = L0 = 1e-300 is valid; any floor derived from it would underflow

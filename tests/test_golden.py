@@ -7,6 +7,7 @@ A digest that moves means the algorithm, its oracle counts or the output
 format changed; update it only together with a note saying why.
 """
 
+import csv
 import hashlib
 import json
 
@@ -51,11 +52,11 @@ CASES = {
         },
     ),
     "ogmg_repeated": (
-        ["run", "--problem", ILL, "--method", "ogmg_repeated:1000,0.1", *EPS],
+        ["run", "--problem", ILL, "--method", "ogmg_repeated", "--l0", "1000", "--mu0", "0.1", *EPS],
         0,
         {
             "trace.csv": "99556b39a1f45bc8d59a0306e0b99bdfdb7059f2525ee000abe7043b6a543fc0",
-            "summary.json": "7cc24316ee257f5ddd178852f730c157eea5cbdca4f1845f51150e174e224af7",
+            "summary.json": "1116ec94cc50b95fa686c795620ba7e4c7c88177b815660b6d1beed1b18ab299",
         },
     ),
     "ogmg": (
@@ -90,12 +91,20 @@ CASES = {
             "sweep.csv": "db85f79536bc824b7b0b58916b1167f35468fe3695765967ef2c7b3ac532ccd1",
         },
     ),
-    "compare-4": (
-        ["compare", "--problem", ILL, "--l0", "1000", *EPS,
-         "--spec", "acgm", "--spec", "algm;l0=5", "--spec", "ugm", "--spec", "ogmg_repeated:1000,0.1"],
+    "sweep-mu0-ogmg_repeated": (
+        ["sweep", "--problem", ILL, "--method", "ogmg_repeated", "--l0", "1000",
+         "--axis", "mu0", "--values", "0.01,0.1,1", *EPS],
         0,
         {
-            "compare.csv": "0ad2a6ed260f8a446137154b1727145e1562a8fa80b8350f66bca77f402e11e2",
+            "sweep.csv": "d3846689e78fd983567aaeb9725487a45436046d7caf77a32765dc184cfed02e",
+        },
+    ),
+    "compare-4": (
+        ["compare", "--problem", ILL, "--l0", "1000", *EPS,
+         "--spec", "acgm", "--spec", "algm;l0=5", "--spec", "ugm", "--spec", "ogmg_repeated;mu0=0.1"],
+        0,
+        {
+            "compare.csv": "46e467cd52547acc77fe7915466e6ef298407916553c4a3eaf77d3250b543558",
         },
     ),
 }
@@ -119,3 +128,13 @@ def test_golden_outputs(name, tmp_path, capsys):
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(expected)
     assert {name: digest(tmp_path / name) for name in written} == expected
+
+
+def test_baseline_mu0_sweep_rows_differ_by_value(tmp_path, capsys):
+    # the known-constants baseline runs at each point's mu0, so no two rows repeat one solve
+    argv, _, _ = CASES["sweep-mu0-ogmg_repeated"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        calls = [row["total_grad_calls"] for row in csv.DictReader(fh)]
+    assert len(calls) == len(set(calls)) == 3

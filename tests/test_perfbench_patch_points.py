@@ -54,7 +54,7 @@ def test_compare_counts_accepted_points_of_every_driver(spans, tmp_path):
     metrics = traced(spans, [
         "compare", "--problem", "quadratic:1000.0,0.1", "--seed", "7", "--eps-rel", "1e-6",
         "--l0", "1000", "--spec", "acgm", "--spec", "algm;l0=5", "--spec", "ugm",
-        "--spec", "ogmg_repeated:1000,0.1", "--out", str(tmp_path / "cmp"),
+        "--spec", "ogmg_repeated;mu0=0.1", "--out", str(tmp_path / "cmp"),
     ])
     assert metrics["drivers.attempts"] > 0
     assert metrics["drivers.accept_ratio"] > 0

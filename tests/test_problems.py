@@ -70,6 +70,11 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             QuadraticProblem(diag=np.array([1.0, 0.0]))
 
+    def test_rejects_an_empty_curvature_vector(self):
+        # known_L would meet numpy's zero-size reduction error, and a solve would "converge" in 0 dimensions
+        with pytest.raises(ValueError, match="at least one curvature"):
+            QuadraticProblem(diag=[])
+
     def test_rejects_matrix_curvature(self):
         with pytest.raises(ValueError, match="1-D vector"):
             QuadraticProblem(diag=np.ones((2, 2)))
