@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import zip_longest
@@ -30,12 +31,22 @@ from .rng import SplitMix64
 TRACE_HEADER = ",".join(("event_index", "event_kind", *TraceEvent._fields[1:]))
 SWEEP_HEADER = "axis_value,sqrt_L_over_mu,total_grad_calls,total_value_calls,converged"
 
-METHODS = ("ogmg", "ogmg_repeated", "acgm", "algm", "ugm")
-MU0_METHODS = ("ogmg_repeated", "acgm", "algm")  # the methods that read SolverConfig.mu0
 START_KINDS = ("zeros", "ones", "gaussian")
 SWEEP_AXES = ("L", "mu", "mu0", "L0")
 PROBLEM_FORMS = "quadratic:<diag,...> | logreg:<n,m,reg,seed> | logreg_csv:<path,reg>"
-METHOD_FORMS = "ogmg:<n> | ogmg_repeated | acgm | algm | ugm"
+
+# One row per method. solve(oracle, x0, cfg, n) looks its driver up as a module global when called,
+# so that patching bench.<driver> reroutes it. A constant the method trusts is the true one, not an estimate.
+Method = namedtuple("Method", "solve takes_n trusts_L0 reads_mu0 trusts_mu0", defaults=(False,) * 4)
+METHODS = {
+    "ogmg": Method(lambda o, x0, cfg, n: _run_fixed_budget(o, x0, cfg.L0, n, cfg.epsilon), takes_n=True, trusts_L0=True),
+    "ogmg_repeated": Method(lambda o, x0, cfg, n: ogmg_repeated(o, x0, cfg.L0, cfg.mu0, cfg.epsilon),
+                            trusts_L0=True, reads_mu0=True, trusts_mu0=True),
+    "acgm": Method(lambda o, x0, cfg, n: acgm(o, x0, cfg.L0, cfg), trusts_L0=True, reads_mu0=True),
+    "algm": Method(lambda o, x0, cfg, n: algm(o, x0, cfg), reads_mu0=True),
+    "ugm": Method(lambda o, x0, cfg, n: ugm(o, x0, cfg)),
+}
+METHOD_FORMS = " | ".join(name + ":<n>" * row.takes_n for name, row in METHODS.items())
 
 
 @dataclass(frozen=True)
@@ -85,30 +96,30 @@ ProblemSpec = Union[QuadraticSpec, LogRegSpec, LogRegCsvSpec]
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Which solver to run. ogmg needs n (and an explicit L0 in the config);
-    every other method takes no field. The curvature constants live in the
-    SolverConfig: ogmg_repeated runs at its L0 and mu0, as known constants."""
+    """Which solver to run: a METHODS name, with n where its row takes one.
+    The curvature constants live in the SolverConfig."""
 
     name: str
     n: Optional[int] = None
 
     def __post_init__(self):
         if self.name not in METHODS:
-            raise ValueError(f"unknown method {self.name!r} (expected one of {METHODS})")
-        if self.n is not None and self.name != "ogmg":
-            raise ValueError(f"method {self.name} takes no n (only ogmg does)")
-        if self.name == "ogmg" and (self.n is None or self.n < 1):
-            raise ValueError("method ogmg requires a step budget n >= 1")
+            raise ValueError(f"unknown method {self.name!r} (expected one of {tuple(METHODS)})")
+        if self.n is not None and not METHODS[self.name].takes_n:
+            takers = ", ".join(name for name, row in METHODS.items() if row.takes_n)
+            raise ValueError(f"method {self.name} takes no n (only {takers} does)")
+        if METHODS[self.name].takes_n and (self.n is None or self.n < 1):
+            raise ValueError(f"method {self.name} requires a step budget n >= 1")
 
     def label(self) -> str:
         return self.name if self.n is None else f"{self.name}:{self.n!r}"
 
     @classmethod
     def parse(cls, name: str, payload: str) -> MethodSpec:
-        if name == "ogmg":
+        if METHODS[name].takes_n:
             return cls(name, n=int(payload))
         if payload:
-            flags = "--l0 and --mu0" if name in MU0_METHODS else "--l0"
+            flags = "--l0 and --mu0" if METHODS[name].reads_mu0 else "--l0"
             raise ValueError(f"method {name} takes no payload; its constants come from {flags}")
         return cls(name)
 
@@ -166,8 +177,8 @@ class ExperimentSpec:
             raise ValueError(f"reg must be finite and positive, got {reg}")
         if self.max_grad_calls < 1:
             raise ValueError(f"max_grad_calls must be >= 1, got {self.max_grad_calls}")
-        if self.method.name == "ogmg" and self.method.n + 1 > self.max_grad_calls:
-            raise ValueError(f"ogmg:{self.method.n} needs n + 1 gradients, over max_grad_calls {self.max_grad_calls}")
+        if self.method.n is not None and self.method.n + 1 > self.max_grad_calls:
+            raise ValueError(f"{self.method.label()} needs n + 1 gradients, over max_grad_calls {self.max_grad_calls}")
         if self.eps_rel is not None and not (math.isfinite(self.eps_rel) and self.eps_rel > 0):
             raise ValueError(f"eps_rel must be finite and positive, got {self.eps_rel}")
 
@@ -197,7 +208,7 @@ class SweepSpec:
             raise ValueError(f"axis {self.axis!r} sweeps need a 2-dim quadratic problem")
         if self.base.config.mu0 != self.base.config.L0:  # every axis re-derives or overwrites it
             raise ValueError("sweep sets mu0 per grid point; sweep it with --axis mu0")
-        if self.axis == "mu0" and self.base.method.name not in MU0_METHODS:
+        if self.axis == "mu0" and not METHODS[self.base.method.name].reads_mu0:
             raise ValueError(f"method {self.base.method.name} never reads mu0, so a mu0 sweep would repeat one solve")
 
 
@@ -258,20 +269,10 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
     oracle = CountingOracle(objective)
     oracle.max_grad_calls = spec.max_grad_calls
     x0 = make_start(spec.x0, problem.dim)
-    m = spec.method
     # the oracle or the pass check diagnoses every non-finite result; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         cfg = _resolve_epsilon(spec, objective, x0)
-        if m.name == "ogmg":
-            result = _run_fixed_budget(oracle, x0, cfg.L0, m.n, cfg.epsilon)
-        elif m.name == "ogmg_repeated":
-            result = ogmg_repeated(oracle, x0, cfg.L0, cfg.mu0, cfg.epsilon)
-        elif m.name == "acgm":
-            result = acgm(oracle, x0, cfg.L0, cfg)
-        elif m.name == "algm":
-            result = algm(oracle, x0, cfg)
-        else:  # ugm: MethodSpec rejects every other name
-            result = ugm(oracle, x0, cfg)
+        result = METHODS[spec.method.name].solve(oracle, x0, cfg, spec.method.n)
     return result, oracle, cfg
 
 
@@ -345,9 +346,8 @@ def _sweep_point(base: ExperimentSpec, axis: str, value: float, rep: int) -> Exp
     if axis in ("L", "mu"):
         diag = (value, problem.diag[1]) if axis == "L" else (problem.diag[0], value)
         problem = QuadraticSpec(diag=diag)
-        # the solver is granted the instance's true smoothness constant;
-        # mu0 re-derives from it
-        cfg = replace(cfg, L0=max(diag), mu0=None)
+        # the solver is granted the instance's true L, and its true mu where it trusts mu0 (else mu0 = L0)
+        cfg = replace(cfg, L0=max(diag), mu0=min(diag) if METHODS[base.method.name].trusts_mu0 else None)
     elif axis == "mu0":
         cfg = replace(cfg, mu0=value)
     else:  # L0: SweepSpec rejects every other axis

@@ -15,12 +15,11 @@ from typing import Optional
 
 from .bench import (
     METHOD_FORMS,
-    MU0_METHODS,
+    METHODS,
     PROBLEM_FORMS,
     START_KINDS,
     SWEEP_AXES,
     ExperimentSpec,
-    MethodSpec,
     StartSpec,
     SweepSpec,
     compare,
@@ -41,15 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _config(args, method: MethodSpec) -> SolverConfig:
-    if args.mu0 is not None and method.name not in MU0_METHODS:
-        raise ValueError(f"method {method.name} never reads mu0; give --mu0 or mu0= only to {', '.join(MU0_METHODS)}")
-    l0 = args.l0
-    if l0 is None:
-        # ogmg, ogmg_repeated and acgm trust L0 as the true smoothness constant; the others adapt it
-        if method.name in ("ogmg", "ogmg_repeated", "acgm"):
-            raise ValueError(f"method {method.name} requires an explicit --l0")
-        l0 = 1.0
+def _config(args, method: str) -> SolverConfig:
+    # a method that trusts L0 gets no default for it; the others adapt an estimate that starts at 1.0
+    row = METHODS[method]
+    if args.mu0 is not None and not row.reads_mu0:
+        readers = ", ".join(name for name, other in METHODS.items() if other.reads_mu0)
+        raise ValueError(f"method {method} never reads mu0; give --mu0 or mu0= only to {readers}")
+    if args.l0 is None and row.trusts_L0:
+        raise ValueError(f"method {method} requires an explicit --l0")
+    l0 = 1.0 if args.l0 is None else args.l0
     eps = 1.0 if args.eps is None else args.eps  # replaced when eps_rel is set
     return SolverConfig(epsilon=eps, L0=l0, mu0=args.mu0)
 
@@ -59,7 +58,7 @@ def _experiment(args) -> ExperimentSpec:
     return ExperimentSpec(
         problem=parse_problem(args.problem),
         method=method,
-        config=_config(args, method),
+        config=_config(args, method.name),
         x0=StartSpec(kind=args.x0, seed=args.seed),
         output_dir=Path(args.out),
         eps_rel=args.eps_rel,

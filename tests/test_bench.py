@@ -54,6 +54,8 @@ from fastgrad.cli import main
 from fastgrad.ogmg import StalledIterate
 
 ILL = QuadraticSpec(diag=(1000.0, 0.1))
+# each method as a CLI form: a method that takes n gets a step budget
+METHOD_LABELS = [f"{name}:60" if row.takes_n else name for name, row in METHODS.items()]
 
 
 def spec(tmp_path, method=MethodSpec(name="acgm"), problem=ILL, **kwargs):
@@ -203,6 +205,16 @@ class TestSweep:
         assert rows[0]["total_grad_calls"] == summary["grad_calls"]
         assert rows[0]["total_value_calls"] == summary["value_calls"]
         assert rows[0]["converged"] == summary["converged"]
+
+    def test_baseline_sweeps_at_the_true_mu(self, tmp_path):
+        # the known-constants baseline is granted each point's true mu, as every method its true L;
+        # at mu = L the last row took 17833 gradients
+        base = self.base(tmp_path, method=MethodSpec("ogmg_repeated"), x0=StartSpec("gaussian", 0), eps_rel=1e-6)
+        rows, _ = run_sweep(SweepSpec(base=base, axis="L", values=(100.0, 400.0, 1600.0, 6400.0)))
+        run_experiment(replace(base, problem=QuadraticSpec(diag=(6400.0, 1.0)),
+                               config=SolverConfig(epsilon=1.0, L0=6400.0, mu0=1.0)))
+        summary = json.loads((base.output_dir / "summary.json").read_text())
+        assert rows[-1]["total_grad_calls"] == summary["grad_calls"] == 685
 
     def test_mu0_axis_varies_config_only(self, tmp_path):
         rows, _ = run_sweep(
@@ -445,7 +457,7 @@ def mostly_positive(low, high):
 @st.composite
 def method_fields(draw):
     """A method name with n: most often n only where that method takes it, else any."""
-    name = draw(st.sampled_from(METHODS + ("newton",)))
+    name = draw(st.sampled_from((*METHODS, "newton")))
     n = draw(st.none() | st.integers(-1, 400))
     if draw(st.sampled_from([True] * 7 + [False])):
         n = n if name == "ogmg" else None
@@ -513,6 +525,18 @@ class TestFormats:
         # the label would drop the field, so parsing it back would give another spec
         with pytest.raises(ValueError, match=f"method {name} takes no n \\(only ogmg does\\)"):
             MethodSpec(name, n=n)
+
+    def test_each_method_row_states_its_premise(self):
+        # OGM-G needs L (and the repetition mu), ACGM trusts L and adapts mu, ALGM and UGM adapt L
+        flags = {name: (row.takes_n, row.trusts_L0, row.reads_mu0, row.trusts_mu0) for name, row in METHODS.items()}
+        assert flags == {
+            "ogmg": (True, True, False, False),
+            "ogmg_repeated": (False, True, True, True),
+            "acgm": (False, True, True, False),
+            "algm": (False, False, True, False),
+            "ugm": (False, False, False, False),
+        }
+        assert METHOD_FORMS == "ogmg:<n> | ogmg_repeated | acgm | algm | ugm"
 
     def test_unknown_names_list_the_grammar(self):
         with pytest.raises(ValueError, match=re.escape(PROBLEM_FORMS)):
@@ -804,9 +828,9 @@ class TestCli:
             assert capsys.readouterr().err == "error: mu0=1000.0 exceeds L0=100.0\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("method", ["ugm", "ogmg:60"])
+    @pytest.mark.parametrize("method", METHOD_LABELS)
     def test_a_mu0_the_method_never_reads_is_invalid(self, tmp_path, capsys, method):
-        # ugm and the fixed-budget run ignore mu0, so a given one would be dropped
+        # ugm and the fixed-budget run ignore mu0, so a given one would be dropped; the others take it
         name = method.partition(":")[0]
         common = ["--problem", "quadratic:100,1", "--l0", "100", "--eps-rel", "1e-5"]
         argvs = [
@@ -816,20 +840,62 @@ class TestCli:
             ["sweep", *common, "--method", method, "--mu0", "0.5", "--axis", "L", "--values", "100,400"],
         ]
         for i, argv in enumerate(argvs):
-            assert main([*argv, "--out", str(tmp_path / str(i))]) == 1
-            assert capsys.readouterr().err.startswith(f"error: method {name} never reads mu0;")
-        assert list(tmp_path.iterdir()) == []
+            code = main([*argv, "--out", str(tmp_path / str(i))])
+            err = capsys.readouterr().err
+            if METHODS[name].reads_mu0:
+                assert "never reads mu0" not in err
+            else:
+                assert code == 1
+                assert err == f"error: method {name} never reads mu0; give --mu0 or mu0= only to ogmg_repeated, acgm, algm\n"
+        if not METHODS[name].reads_mu0:
+            assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("method", ["ugm", "ogmg:60"])
+    @pytest.mark.parametrize("method", METHOD_LABELS)
     def test_mu0_sweep_of_a_method_that_never_reads_it_is_invalid(self, tmp_path, capsys, method):
         # each row would repeat one solve
+        name = method.partition(":")[0]
         code = main([
             "sweep", "--problem", "quadratic:100,1", "--method", method, "--l0", "100", "--eps-rel", "1e-5",
             "--axis", "mu0", "--values", "0.01,0.1,1", "--out", str(tmp_path / "s"),
         ])
+        if METHODS[name].reads_mu0:
+            assert code == 0
+            return
         assert code == 1
-        assert f"error: method {method.partition(':')[0]} never reads mu0" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: method {name} never reads mu0, so a mu0 sweep would repeat one solve\n"
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_only_a_method_that_takes_n_takes_a_payload(self, tmp_path, capsys, command, name):
+        common = ["--problem", "quadratic:1000,0.1", "--l0", "1000", "--seed", "7", "--eps-rel", "0.5"]
+        flag = "--method" if command == "run" else "--spec"
+        code = main([command, *common, flag, f"{name}:40", "--out", str(tmp_path / "o")])
+        if METHODS[name].takes_n:
+            assert code == 0
+            return
+        flags = "--l0 and --mu0" if METHODS[name].reads_mu0 else "--l0"
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot parse method '{name}:40': method {name} takes no payload; its constants come from {flags}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("method", METHOD_LABELS)
+    def test_only_a_method_that_trusts_l0_requires_it(self, tmp_path, capsys, command, method):
+        # the others adapt an estimate of L that starts at 1.0
+        name = method.partition(":")[0]
+        flag = "--method" if command == "run" else "--spec"
+        code = main([
+            command, "--problem", "quadratic:1000.0,0.1", "--seed", "7", "--eps-rel", "0.5",
+            flag, method, "--out", str(tmp_path / "o"),
+        ])
+        if not METHODS[name].trusts_L0:
+            assert code == 0
+            return
+        assert code == 1
+        assert capsys.readouterr().err == f"error: method {name} requires an explicit --l0\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_repeated_payload_form_names_l0_and_mu0(self, tmp_path, capsys, command):

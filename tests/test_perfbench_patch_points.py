@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fastgrad.bench import METHODS
 from fastgrad.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -77,3 +78,15 @@ def test_budget_stop_unwinds_through_wrapped_attempts(spans, tmp_path):
     ], exit_code=2)
     assert metrics["problems.builds"] == 1
     assert metrics["drivers.attempts"] > 0
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_every_method_row_reaches_its_traced_driver(spans, tmp_path, method):
+    # each row's solve must look its driver up when it runs; one bound at import bypasses the span
+    row = METHODS[method]
+    metrics = traced(spans, [
+        "run", "--problem", "quadratic:1000.0,0.1", "--method", f"{method}:40" if row.takes_n else method,
+        "--l0", "1000", "--eps-rel", "0.5", "--seed", "7", "--out", str(tmp_path / "run"),
+    ])
+    # the fixed-budget run is no driver: its span is ogmg_run's
+    assert metrics["ogmg.ogmg_run.calls" if row.takes_n else "drivers.solve_s"] > 0
