@@ -1,5 +1,7 @@
 """Accelerated first-order convex optimization with adaptive restart drivers."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     BudgetExhausted,
     CountingOracle,
@@ -54,46 +56,5 @@ from .rng import SplitMix64
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExhausted",
-    "CountingOracle",
-    "DivergenceError",
-    "DriverResult",
-    "EventKind",
-    "ExperimentSpec",
-    "LogRegCsvSpec",
-    "LogRegProblem",
-    "LogRegSpec",
-    "MethodSpec",
-    "NonFiniteError",
-    "Objective",
-    "OgmglOutcome",
-    "QuadraticProblem",
-    "QuadraticSpec",
-    "RunTrace",
-    "RunawayLipschitzError",
-    "Schedule",
-    "SolverConfig",
-    "SplitMix64",
-    "StartSpec",
-    "SweepSpec",
-    "TraceEvent",
-    "Vector",
-    "acgm",
-    "algm",
-    "as_vector",
-    "check_gradient",
-    "compare",
-    "gen_logreg",
-    "halving_budget",
-    "lipschitz_upper_bound",
-    "load_logreg_csv",
-    "make_schedule",
-    "norm2",
-    "ogmg_repeated",
-    "ogmg_run",
-    "ogmgl_run",
-    "run_experiment",
-    "run_sweep",
-    "ugm",
-]
+# every public name bound above is API
+__all__ = sorted(name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType)))

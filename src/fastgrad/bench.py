@@ -443,21 +443,15 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     workers = min(len(points), _usable_cpus()) if spec.axis in ("L", "mu") else 1
     kappas = [problem.known_L / problem.known_mu for problem in built]
     solved = _solve_grid(list(zip(points, built)), kappas, workers)
+    header = SWEEP_HEADER.split(",")
     rows = [
-        {
-            "axis_value": value,
-            "sqrt_L_over_mu": float(np.sqrt(kappa)),
-            "total_grad_calls": grad_calls,
-            "total_value_calls": value_calls,
-            "converged": converged,
-        }
-        for (value, _), kappa, (grad_calls, value_calls, converged) in zip(grid, kappas, solved)
+        dict(zip(header, (value, float(np.sqrt(kappa)), *outcome)))
+        for (value, _), kappa, outcome in zip(grid, kappas, solved)
     ]
     out = Path(spec.base.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
-    header = SWEEP_HEADER.split(",")
-    _write_csv(path, header, ([row[name] for name in header] for row in rows))
+    _write_csv(path, header, (row.values() for row in rows))
     return rows, path
 
 
@@ -479,7 +473,7 @@ def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]
     results: dict[str, DriverResult] = {}
     for spec, problem in zip(specs, _build_all(specs)):
         result, _, _ = _execute(spec, problem)
-        label = spec.method.label().replace(":", "_").replace(",", "_")
+        label = spec.method.label().replace(":", "_")
         while label in results:
             label += "+"
         results[label] = result

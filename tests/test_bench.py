@@ -698,20 +698,24 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "method,l0,exit_code,grads",
-        [("ugm", "1e17", 3, 1), ("algm", "1e17", 3, 2), ("ugm", "1e15", 0, None), ("algm", "1e15", 0, None)],
-        ids=["ugm-1e17", "algm-1e17", "ugm-1e15", "algm-1e15"],
+        "method,problem,l0,exit_code,grads",
+        [("ugm", "1,1", "1e17", 3, 1), ("algm", "1,1", "1e17", 3, 2), ("ugm", "1,1", "1e15", 0, None),
+         ("algm", "1,1", "1e15", 0, None), ("ugm", "1e200", "1e217", 3, 1), ("algm", "1e200", "1e217", 3, 2)],
+        ids=["ugm-1e17", "algm-1e17", "ugm-1e15", "algm-1e15", "ugm-1e217", "algm-1e217"],
     )
-    def test_large_l0_diagnosed_as_too_large(self, tmp_path, capsys, method, l0, exit_code, grads):
-        # at 1e17 the first trial step, at L0/2, vanishes against x = ones before L ever doubled
+    def test_large_l0_diagnosed_as_too_large(self, tmp_path, capsys, method, problem, l0, exit_code, grads):
+        # at 1e17 the first trial step, at L0/2, vanishes against x = ones before L ever doubled;
+        # at 1e217 it does so where |g|**2 = 1e400 overflows, and the report still gives |g|
         code = main([
-            "run", "--problem", "quadratic:1,1", "--x0", "ones", "--eps-rel", "1e-6",
+            "run", "--problem", f"quadratic:{problem}", "--x0", "ones", "--eps-rel", "1e-6",
             "--l0", l0, "--method", method, "--out", str(tmp_path / "o"),
         ])
         err = capsys.readouterr().err
         assert code == exit_code
         if exit_code == 3:
-            assert err.startswith(f"aborted: accepted step at grad_calls={grads} left the iterate unchanged")
+            grad_norm = math.hypot(*map(float, problem.split(",")))  # |g| at x = ones
+            assert err.startswith(f"aborted: accepted step at grad_calls={grads} left the iterate unchanged "
+                                  f"(gradient norm {grad_norm:.3e}, L {float(l0) / 2:.3e})")
             assert "before any doubling of L" in err and "L looks far too large" in err
             assert "precision" not in err
 
@@ -883,38 +887,19 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("method", METHOD_LABELS)
     def test_only_a_method_that_trusts_l0_requires_it(self, tmp_path, capsys, command, method):
-        # the others adapt an estimate of L that starts at 1.0
+        # the others adapt an estimate of L that starts at 1.0; compare checks every spec
+        # before it runs any, so a spec that lacks --l0 after a ugm spec still writes nothing
         name = method.partition(":")[0]
-        flag = "--method" if command == "run" else "--spec"
+        specs = ["--method", method] if command == "run" else ["--spec", "ugm", "--spec", method]
         code = main([
             command, "--problem", "quadratic:1000.0,0.1", "--seed", "7", "--eps-rel", "0.5",
-            flag, method, "--out", str(tmp_path / "o"),
+            *specs, "--out", str(tmp_path / "o"),
         ])
         if not METHODS[name].trusts_L0:
             assert code == 0
             return
         assert code == 1
         assert capsys.readouterr().err == f"error: method {name} requires an explicit --l0\n"
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_repeated_payload_form_names_l0_and_mu0(self, tmp_path, capsys, command):
-        common = ["--problem", "quadratic:1000,0.1", "--l0", "1000", "--eps-rel", "1e-6"]
-        flag = "--method" if command == "run" else "--spec"
-        assert main([command, *common, flag, "ogmg_repeated:1000,0.1", "--out", str(tmp_path / "o")]) == 1
-        assert "ogmg_repeated takes no payload; its constants come from --l0 and --mu0" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_acgm_requires_l0(self, tmp_path, capsys, command):
-        # acgm trusts L0 as the true smoothness constant, so it gets no default
-        method = ["--method", "acgm"] if command == "run" else ["--spec", "ugm", "--spec", "acgm"]
-        code = main([
-            command, "--problem", "quadratic:1000.0,0.1", "--seed", "7", "--eps-rel", "1e-6",
-            *method, "--out", str(tmp_path / "o"),
-        ])
-        assert code == 1
-        assert "requires an explicit --l0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses, serial commands
+"""No module of the package imports a name it never uses, every name the
+scripts and tests import from the package is in its __all__, serial commands
 never import the process pool that parallel sweeps use, and every exception
 the package defines survives the pickling that carries it out of a worker.
 
@@ -51,6 +52,21 @@ def test_checker_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_holds_every_name_scripts_and_tests_import_from_the_package():
+    # __init__.py derives __all__ from its imports, so a name it stops binding drops out
+    fastgrad = importlib.import_module("fastgrad")
+    imported = {
+        alias.name
+        for path in [*ROOT.glob("scripts/*.py"), *ROOT.glob("tests/*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "fastgrad"
+        for alias in node.names
+        if not (PACKAGE / f"{alias.name}.py").exists()  # a submodule, not a re-export
+    }
+    assert imported <= set(fastgrad.__all__)
+    assert fastgrad.__all__ == sorted(fastgrad.__all__)
 
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures")

@@ -1,4 +1,5 @@
-"""Each script under scripts/ runs to exit 0 and writes every CSV it reports."""
+"""Each script under scripts/ runs to exit 0 and writes every CSV it reports; the scaling
+script's spread family shows the adaptive methods paying about sqrt(kappa), ugm nearer kappa."""
 
 import os
 import re
@@ -12,23 +13,39 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # script, extra arguments, number of CSV paths it prints
 SCRIPTS = [
-    ("scaling_sweeps.py", ["--eps-rel", "1e-3"], 4),
+    ("scaling_sweeps.py", ["--eps-rel", "1e-3"], 6),
     ("convergence_traces.py", [], 12),
     ("method_comparisons.py", [], 3),
 ]
 
 
-@pytest.mark.parametrize("script,extra,n_csv", SCRIPTS, ids=[s[0] for s in SCRIPTS])
-def test_script_writes_reported_csvs(script, extra, n_csv, tmp_path):
+def run_script(script, extra, out):
+    """The script's stdout, after it exits 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--out", str(tmp_path), *extra],
+        [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *extra],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    reported = [Path(p) for p in re.findall(r"(\S+\.csv)$", proc.stdout, re.MULTILINE)]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script,extra,n_csv", SCRIPTS, ids=[s[0] for s in SCRIPTS])
+def test_script_writes_reported_csvs(script, extra, n_csv, tmp_path):
+    stdout = run_script(script, extra, tmp_path)
+    reported = [Path(p) for p in re.findall(r"(\S+\.csv)$", stdout, re.MULTILINE)]
     assert len(reported) == n_csv
     for path in reported:
         assert path.is_relative_to(tmp_path)
         assert path.is_file() and path.stat().st_size > 0
+
+
+def test_spread_family_shows_the_comparison(tmp_path):
+    # the accelerated adaptive methods pay about sqrt(kappa), the plain gradient method nearer kappa
+    script, extra, _ = SCRIPTS[0]
+    stdout = run_script(script, extra, tmp_path)
+    slopes = {m: float(s) for m, s in re.findall(r"^spread (\w+): .*, slope (\S+)", stdout, re.MULTILINE)}
+    assert slopes.keys() == {"acgm", "algm", "ugm", "ogmg_repeated"}
+    assert slopes["acgm"] <= 1.2 and slopes["algm"] <= 1.2
+    assert slopes["ugm"] >= 1.5
