@@ -1,9 +1,10 @@
 """Command-line interface: run / sweep / compare.
 
-Exit codes: 0 success, 1 invalid specification, 2 budget exhausted before
-reaching the target, 3 oracle abort (non-finite values, runaway smoothness
-estimate (ogmg._doubled), an accepted step that leaves the iterate unchanged
-(ogmg._decrease_step), a pass that returns its start point, divergence).
+Exit codes: 0 success, 1 invalid specification or an instance too large to
+allocate, 2 budget exhausted before reaching the target, 3 oracle abort
+(non-finite values, runaway smoothness estimate (ogmg._doubled), an accepted
+step that leaves the iterate unchanged (ogmg._decrease_step), a pass that
+returns its start point, divergence).
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:  # compare, the last command
             results, path = compare([_compare_spec(text, args) for text in args.spec])
             ok = all(res.converged for res in results.values())
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -81,7 +81,9 @@ class LogRegProblem:
             raise ValueError(f"features must be a 2-D matrix, got {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must have one entry per feature row")
-        if not np.all(np.isfinite(self.features)):
+        # NaN propagates through min and max, and an infinity is one of them: no data-sized mask
+        features = self.features
+        if features.size and not (math.isfinite(features.min()) and math.isfinite(features.max())):
             raise ValueError("features contain non-finite entries")
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must all be +1 or -1")

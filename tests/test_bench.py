@@ -942,6 +942,18 @@ class TestCli:
         assert calls == []
         assert not (tmp_path / "o").exists()
 
+    def test_instance_too_large_to_allocate_exits_one(self, tmp_path, capsys):
+        # 1e16 draws take 71.1 PiB, past any address space, so the first allocation fails
+        # at once; a size that could be partly allocated would take the machine's memory
+        code = main([
+            "run", "--problem", "logreg:100000000,100000000,0.1,1", "--method", "ugm",
+            "--eps-rel", "1e-3", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_fixed_budget_fits_its_cap_exactly(self, tmp_path):
         code = main([
             "run", "--problem", "quadratic:1000,0.1", "--method", "ogmg:5", "--l0", "1000",

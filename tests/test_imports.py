@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, every name the
 scripts and tests import from the package is in its __all__, serial commands
-never import the process pool that parallel sweeps use, and every exception
-the package defines survives the pickling that carries it out of a worker.
+never import the process pool that parallel sweeps use, the commands run
+clean under python -X dev -W error, and every exception the package defines
+survives the pickling that carries it out of a worker.
 
 The unused-import check parses each source file with ast, so it needs no linter;
 it covers the scripts and the tests too.
@@ -89,16 +90,30 @@ print(*(name in sys.modules for name in {modules!r}))
 """
 
 
-def test_serial_commands_import_no_process_pool(tmp_path):
+def run_serial_then_parallel(tmp_path, *python_flags):
     script = SERIAL_THEN_PARALLEL.format(modules=POOL_MODULES)
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *python_flags, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_serial_commands_import_no_process_pool(tmp_path):
+    done = run_serial_then_parallel(tmp_path)
     assert done.returncode == 0, done.stderr
     serial, parallel = (line for line in done.stdout.splitlines() if not line.startswith("converged"))
     assert serial == "False False"
     assert parallel == "True True"
+
+
+def test_commands_run_clean_in_dev_mode(tmp_path):
+    # -X dev warns on unclosed files and pipes, and on a fork from a multi-threaded
+    # process (Python >= 3.12); -W error makes each one an error, which a finalizer
+    # only prints to stderr, so an empty stderr is part of the check
+    done = run_serial_then_parallel(tmp_path, "-X", "dev", "-W", "error")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 # one sample per exception class defined in the package; a new class needs one here

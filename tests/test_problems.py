@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,10 @@ class TestQuadratic:
         assert value <= upper * (1 + 1e-12)
 
 
+# a CSV loader's array: two feature columns, then the label column
+CSV_DATA_WITH_NAN = np.array([[1.0, np.nan, 1.0], [2.0, 3.0, -1.0]])
+
+
 class TestLogReg:
     def test_zero_weights_identity(self):
         p = gen_logreg(40, 7, reg=1.0, seed=9)
@@ -170,12 +175,37 @@ class TestLogReg:
             (np.ones(2), np.ones(2), "2-D matrix"),
             (np.ones((2, 2)), np.ones(3), "one entry per feature row"),
             (np.array([[1.0, np.inf]]), np.ones(1), "non-finite"),
+            (np.array([[1.0, 2.0], [3.0, np.nan]]), np.ones(2), "non-finite"),
+            (np.array([[-np.inf, 2.0], [3.0, 4.0]]), np.ones(2), "non-finite"),
+            # the CSV loader's strided view: the NaN is a feature, the label column is finite
+            (CSV_DATA_WITH_NAN[:, :-1], CSV_DATA_WITH_NAN[:, -1], "non-finite"),
         ],
-        ids=["vector-features", "label-count", "infinite-feature"],
+        ids=["vector-features", "label-count", "infinite-feature", "nan-last", "minus-inf-first", "nan-in-csv-view"],
     )
     def test_rejects_malformed_data(self, features, labels, message):
         with pytest.raises(ValueError, match=message):
             LogRegProblem(features=features, labels=labels, reg=1.0)
+
+    @pytest.mark.parametrize(
+        "features",
+        [np.full((3, 3), 1.7e308), np.ones((0, 3)), np.ones((3, 0))],
+        ids=["near-float-max", "zero-rows", "zero-columns"],
+    )
+    def test_accepts_finite_features(self, features):
+        # the finiteness check must neither overflow on huge entries nor reduce an empty matrix
+        p = LogRegProblem(features=features, labels=np.ones(features.shape[0]), reg=1.0)
+        assert p.features.shape == features.shape
+
+    def test_validation_allocates_nothing_data_sized(self):
+        # a bool mask of the 300x3000 matrix alone would take 879 KiB
+        features, labels = np.full((300, 3000), 0.5), np.ones(300)
+        tracemalloc.start()
+        try:
+            LogRegProblem(features=features, labels=labels, reg=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
     def test_is_frozen_over_read_only_views(self):
         features, labels = np.ones((2, 3)), np.array([1.0, -1.0])
