@@ -359,24 +359,10 @@ def _sweep_point(base: ExperimentSpec, axis: str, value: float, rep: int) -> Exp
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or read its CPU set."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1  # Windows has no fork start method, macOS no CPU set
+    """CPUs this process may run on; 1 where it cannot fork, make a claim file or read its CPU set."""
+    if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
+        return 1  # Windows has no fork, macOS no memfd or CPU set
     return len(os.sched_getaffinity(0))
-
-
-_forked_grid: list = []  # (points, claims) in a forked sweep worker, put there by the pool's initializer
-
-
-def _solve_forked_grid() -> tuple[list[tuple], Optional[tuple[int, Exception]]]:
-    return _solve_claims(*_forked_grid)
-
-
-def _take(counter, order: list[int]) -> Optional[int]:
-    """The next point of order from a counter the sweep's processes share; None once all are taken."""
-    with counter.get_lock():  # held for this update alone: a worker killed mid-solve leaves it free
-        k, counter.value = counter.value, counter.value + 1
-    return order[k] if k < len(order) else None
 
 
 def _solve_claims(points: list[tuple], indices: Iterable[int]) -> tuple[list[tuple], Optional[tuple[int, Exception]]]:
@@ -400,26 +386,25 @@ def _solve_grid(points: list[tuple], kappas: list[float], workers: int) -> list[
     """(grad_calls, value_calls, converged) per (spec, problem) point, in grid order.
 
     This process and workers - 1 forked ones claim points one at a time from a
-    shared counter, largest kappa = L/mu first (Graham's LPT list schedule); the
+    claim file, largest kappa = L/mu first (Graham's LPT list schedule); the
     results do not depend on workers. A failure raises the lowest-indexed failing
-    point's exception, as a serial run would; a dead worker, BrokenProcessPool.
+    point's exception, as a serial run would. A worker that dies or sends no
+    outcome, and rows that do not carry each point once, raise RuntimeError.
     """
     order = sorted(range(len(points)), key=kappas.__getitem__, reverse=True)
     if workers == 1:
         outcomes = [_solve_claims(points, order)]
-    else:  # imported here, so that serial runs never pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    else:  # a module of its own, so that serial runs never load or compile it
+        from .parallel import solve_claimed
 
-        context = multiprocessing.get_context("fork")
-        grid = (points, iter(partial(_take, context.Value("q", 0), order), None))
-        with ProcessPoolExecutor(workers - 1, context, initializer=_forked_grid.extend, initargs=(grid,)) as pool:
-            futures = [pool.submit(_solve_forked_grid) for _ in range(workers - 1)]
-            outcomes = [_solve_claims(*grid)] + [future.result() for future in futures]
+        outcomes = solve_claimed(partial(_solve_claims, points), order, workers)
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return [row[1:] for row in sorted(row for rows, _ in outcomes for row in rows)]
+    rows = sorted(row for rows, _ in outcomes for row in rows)
+    if [row[0] for row in rows] != list(range(len(points))):
+        raise RuntimeError(f"the sweep's {len(points)} points came back as {len(rows)} rows, not one each")
+    return [row[1:] for row in rows]
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
@@ -446,7 +431,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     header = SWEEP_HEADER.split(",")
     rows = [
         dict(zip(header, (value, float(np.sqrt(kappa)), *outcome)))
-        for (value, _), kappa, outcome in zip(grid, kappas, solved)
+        for (value, _), kappa, outcome in zip(grid, kappas, solved, strict=True)
     ]
     out = Path(spec.base.output_dir)
     out.mkdir(parents=True, exist_ok=True)

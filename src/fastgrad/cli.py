@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 invalid specification or an instance too large to
 allocate, 2 budget exhausted before reaching the target, 3 oracle abort
 (non-finite values, runaway smoothness estimate (ogmg._doubled), an accepted
 step that leaves the iterate unchanged (ogmg._decrease_step), a pass that
-returns its start point, divergence).
+returns its start point, divergence, a sweep worker that dies or sends no
+outcome, sweep rows that do not carry each point once).
 """
 
 from __future__ import annotations

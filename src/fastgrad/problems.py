@@ -9,6 +9,7 @@ regularizer and a smoothness upper bound through the Gram spectrum.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,7 +157,11 @@ def gen_logreg(n_samples: int, n_features: int, reg: float, seed: int) -> LogReg
 
 def load_logreg_csv(path: str, reg: float) -> LogRegProblem:
     """Load a dense CSV dataset: one sample per row, last column the +-1 label."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():  # diagnosed below, so loadtxt need not warn first
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"CSV file {path} holds no data")
     if data.shape[1] < 2:
         raise ValueError("CSV needs at least one feature column plus the label column")
     return LogRegProblem(features=data[:, :-1], labels=data[:, -1], reg=reg)

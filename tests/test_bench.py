@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import multiprocessing
 import os
 import re
 import signal
@@ -37,7 +36,7 @@ from fastgrad import (
     run_experiment,
     run_sweep,
 )
-from fastgrad import bench, problems
+from fastgrad import bench, parallel, problems
 from fastgrad.bench import (
     METHOD_FORMS,
     METHODS,
@@ -294,6 +293,10 @@ class TestParallelSweep:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert bench._usable_cpus() == 1
 
+    def test_one_cpu_without_memfd(self, monkeypatch):
+        monkeypatch.delattr(os, "memfd_create")
+        assert bench._usable_cpus() == 1
+
     @pytest.mark.parametrize("axis,values", [("L", VALUES), ("mu", ("0.25", "1", "4", "16"))])
     @pytest.mark.parametrize("method", ["acgm", "algm", "ugm", "ogmg_repeated"])
     def test_worker_count_cannot_change_results(self, tmp_path, monkeypatch, method, axis, values):
@@ -320,12 +323,15 @@ class TestParallelSweep:
         assert claimed == ordered
 
     def test_shared_counter_hands_out_each_point_once_in_order(self):
-        # two claimers drawing on one fresh counter, as this process and a worker do
-        counter = multiprocessing.get_context("fork").Value("q", 0)
+        # two claimers drawing on one fresh claim file, as this process and a worker do
         order = [3, 1, 2, 0]
-        first, second = (iter(partial(bench._take, counter, order), None) for _ in range(2))
-        assert [next(first), next(second), next(second), next(first)] == order
-        assert list(first) == list(second) == []
+        claims = parallel.claim_file(order)
+        try:
+            first, second = (iter(partial(parallel.take, claims), None) for _ in range(2))
+            assert [next(first), next(second), next(second), next(first)] == order
+            assert list(first) == list(second) == []
+        finally:
+            os.close(claims)
 
     def test_every_point_is_solved_once(self, tmp_path, monkeypatch):
         log, execute = tmp_path / "solves.log", bench._execute
@@ -343,6 +349,20 @@ class TestParallelSweep:
             pids, solved = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
             assert sorted(solved) == points
             assert str(os.getpid()) in pids and len(set(pids)) <= cpus  # this process claims too
+
+    def test_a_point_claimed_twice_aborts_without_output(self, tmp_path, monkeypatch, capsys):
+        # each process hands its first claim out a second time, so the rows repeat a point
+        handed, take = [], parallel.take
+
+        def twice(claims):
+            handed.append(handed[0] if len(handed) == 1 else take(claims))
+            return handed[-1]
+
+        monkeypatch.setattr(parallel, "take", twice)
+        code, path = self.sweep(tmp_path, monkeypatch, 2)
+        assert code == 3
+        assert "not one each" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_lowest_indexed_failure_is_raised(self, tmp_path, monkeypatch, capsys):
         # points are claimed largest L first, so at every CPU count the failure at
@@ -364,7 +384,7 @@ class TestParallelSweep:
     def test_worker_stall_reaches_the_caller(self, tmp_path, monkeypatch, capsys):
         # forked workers stall at every point they claim, and this process's solves wait, so
         # that a worker surely claims one; the StalledIterate it raises must unpickle in this
-        # process, or the pool reports itself broken
+        # process, or the sweep fails with a traceback
         parent, acgm = os.getpid(), bench.acgm
 
         def stalling(oracle, x0, L, cfg):
@@ -392,8 +412,6 @@ class TestParallelSweep:
             return acgm(oracle, x0, L, cfg)
 
         def on_deadline(_signum, _frame):
-            for child in multiprocessing.active_children():
-                child.kill()  # so that the pool's shutdown cannot wait on a hung worker
             raise TimeoutError("the sweep did not return after its worker died")
 
         monkeypatch.setattr(bench, "acgm", dying)
@@ -407,6 +425,55 @@ class TestParallelSweep:
         assert code == 3
         assert capsys.readouterr().err.startswith("aborted:")
         assert not path.exists()
+
+    def test_unpicklable_worker_failure_aborts_without_output(self, tmp_path, monkeypatch, capsys):
+        # the worker's exception holds a lambda, so it cannot be sent back; the sweep
+        # must still end in one diagnosed abort, not an uncaught pickling traceback
+        parent, acgm = os.getpid(), bench.acgm
+
+        class Unpicklable(RuntimeError):
+            def __init__(self):
+                super().__init__("a worker failure that cannot be pickled")
+                self.hook = lambda: None
+
+        def failing(oracle, x0, L, cfg):
+            if os.getpid() != parent:
+                raise Unpicklable()
+            time.sleep(0.2)
+            return acgm(oracle, x0, L, cfg)
+
+        monkeypatch.setattr(bench, "acgm", failing)
+        code, path = self.sweep(tmp_path, monkeypatch, 2)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("aborted:") and err.count("\n") == 1
+        assert not path.exists()
+
+    def test_interrupted_caller_leaves_no_worker_running(self, tmp_path, monkeypatch):
+        # a signal handler raises while this process waits on a worker that is still solving
+        parent, acgm = os.getpid(), bench.acgm
+
+        class Interrupted(Exception):
+            pass
+
+        def slow_worker(oracle, x0, L, cfg):
+            time.sleep(30 if os.getpid() != parent else 0.1)
+            return acgm(oracle, x0, L, cfg)
+
+        def interrupt(_signum, _frame):
+            raise Interrupted()
+
+        monkeypatch.setattr(bench, "acgm", slow_worker)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(Interrupted):
+                self.sweep(tmp_path, monkeypatch, 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
@@ -602,6 +669,15 @@ class TestCli:
         ])
         assert code == 0
         assert "converged" in capsys.readouterr().out
+
+    def test_empty_logreg_csv_is_one_error_line(self, tmp_path, capsys):
+        # loadtxt warns on a file with no data, which would fail this test before the error line
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text("")
+        code = main(["run", "--problem", f"logreg_csv:{csv_path},1", "--method", "algm", "--eps-rel", "1e-3",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: CSV file {csv_path} holds no data\n"
 
     def test_budget_exhaustion_exit_two(self, tmp_path):
         code = main([

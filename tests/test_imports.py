@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses, every name the
 scripts and tests import from the package is in its __all__, serial commands
-never import the process pool that parallel sweeps use, the commands run
+never import the modules that parallel sweeps use, the commands run
 clean under python -X dev -W error, and every exception the package defines
 survives the pickling that carries it out of a worker.
 
@@ -70,9 +70,9 @@ def test_all_holds_every_name_scripts_and_tests_import_from_the_package():
     assert fastgrad.__all__ == sorted(fastgrad.__all__)
 
 
-POOL_MODULES = ("multiprocessing", "concurrent.futures")
+POOL_MODULES = ("multiprocessing", "concurrent.futures", "fcntl", "fastgrad.parallel")
 
-# run and a serial sweep must not pay for the process pool's imports; the
+# run and a serial sweep must not pay for the parallel sweep's imports; the
 # L-axis sweep at the end, on two CPUs, shows that the check can see them
 SERIAL_THEN_PARALLEL = """
 import sys
@@ -103,8 +103,8 @@ def test_serial_commands_import_no_process_pool(tmp_path):
     done = run_serial_then_parallel(tmp_path)
     assert done.returncode == 0, done.stderr
     serial, parallel = (line for line in done.stdout.splitlines() if not line.startswith("converged"))
-    assert serial == "False False"
-    assert parallel == "True True"
+    assert serial == "False False False False"
+    assert parallel == "False False True True"
 
 
 def test_commands_run_clean_in_dev_mode(tmp_path):
