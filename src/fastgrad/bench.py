@@ -186,7 +186,7 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class SweepSpec:
     base: ExperimentSpec
-    axis: str  # one of SWEEP_AXES; L and mu need a 2-dim quadratic base problem
+    axis: str  # one of SWEEP_AXES; L (>= diag[1]) and mu (<= diag[0]) need a 2-dim quadratic base problem
     values: tuple[float, ...]  # finite, positive and strictly ascending
     repetitions: int = 1
 
@@ -206,6 +206,10 @@ class SweepSpec:
         problem = self.base.problem
         if self.axis in ("L", "mu") and not (isinstance(problem, QuadraticSpec) and len(problem.diag) == 2):
             raise ValueError(f"axis {self.axis!r} sweeps need a 2-dim quadratic problem")
+        if self.axis == "L" and values[0] < problem.diag[1]:
+            raise ValueError(f"L-axis values must be at least the base's second curvature {problem.diag[1]!r}, or they sweep mu")
+        if self.axis == "mu" and values[-1] > problem.diag[0]:
+            raise ValueError(f"mu-axis values must be at most the base's first curvature {problem.diag[0]!r}, or they sweep L")
         if self.base.config.mu0 != self.base.config.L0:  # every axis re-derives or overwrites it
             raise ValueError("sweep sets mu0 per grid point; sweep it with --axis mu0")
         if self.axis == "mu0" and not METHODS[self.base.method.name].reads_mu0:
@@ -247,8 +251,8 @@ def _resolve_epsilon(spec: ExperimentSpec, objective, x0: Vector) -> SolverConfi
 def _run_fixed_budget(oracle: CountingOracle, x0: Vector, L: float, n: int, epsilon: float) -> DriverResult:
     """Single fixed-budget run wrapped into a DriverResult.
 
-    Records one event per iterate; ogmg_run reserves the final verification
-    gradient with its n steps, and the harness evaluates it itself.
+    Records one event per iterate, the last one terminated if it meets epsilon; ogmg_run
+    reserves the final verification gradient with its n steps, and the harness evaluates it itself.
     """
     result = DriverResult(oracle)
 
@@ -257,10 +261,9 @@ def _run_fixed_budget(oracle: CountingOracle, x0: Vector, L: float, n: int, epsi
 
     x_final = ogmg_run(oracle, x0, L, n, iterate_probe=probe)
     g_final = norm2(oracle.gradient(x_final))
-    converged = g_final <= epsilon
-    kind = EventKind.TERMINATED if converged else EventKind.OUTER_STEP
+    kind = EventKind.TERMINATED if g_final <= epsilon else EventKind.OUTER_STEP
     result.event(kind, x_final, g_final, L_estimate=L)
-    return result.finish(converged)
+    return result
 
 
 def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracle, SolverConfig]:
@@ -276,14 +279,6 @@ def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracl
     return result, oracle, cfg
 
 
-def _build_all(specs: list[ExperimentSpec]) -> list:
-    """Build each distinct problem once, in order; the instance per spec.
-
-    Sweep points on the mu0/L0 axes share one instance."""
-    built = {problem: build_problem(problem) for problem in dict.fromkeys(spec.problem for spec in specs)}
-    return [built[spec.problem] for spec in specs]
-
-
 def _cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -291,7 +286,8 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write header and rows; None is an empty cell, booleans are true/false."""
+    """Write header and rows, creating the file's directory; None is an empty cell, booleans are true/false."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -312,12 +308,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
     invalid specs and oracle aborts respectively).
     """
     start_time = time.perf_counter()
-    result, oracle, cfg = _execute(spec, *_build_all([spec]))
+    result, oracle, cfg = _execute(spec, build_problem(spec.problem))
     wall = time.perf_counter() - start_time
 
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.csv"
+    trace_path = Path(spec.output_dir) / "trace.csv"
     write_trace_csv(result.trace, trace_path)
     summary = {
         "schema": "fastgrad-run-v2",
@@ -333,7 +327,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
         "events": len(result.trace.events),
         "wall_time_s": wall,
     }
-    with open(out / "summary.json", "w") as fh:
+    with open(trace_path.with_name("summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return result, trace_path
@@ -423,7 +417,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
         for rep in range(spec.repetitions)
     ]
     points = [point for _, point in grid]
-    built = _build_all(points)
+    instances = {problem: build_problem(problem) for problem in dict.fromkeys(point.problem for point in points)}
+    built = [instances[point.problem] for point in points]
     # mu0/L0 points share one instance, whose large products OpenBLAS already threads
     workers = min(len(points), _usable_cpus()) if spec.axis in ("L", "mu") else 1
     kappas = [problem.known_L / problem.known_mu for problem in built]
@@ -433,9 +428,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
         dict(zip(header, (value, float(np.sqrt(kappa)), *outcome)))
         for (value, _), kappa, outcome in zip(grid, kappas, solved, strict=True)
     ]
-    out = Path(spec.base.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
+    path = Path(spec.base.output_dir) / "sweep.csv"
     _write_csv(path, header, (row.values() for row in rows))
     return rows, path
 
@@ -443,8 +436,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
 def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]:
     """Run several methods on one problem; write aligned overlay columns.
 
-    Every spec must share the problem and start point. The CSV holds one
-    grad_calls/grad_norm column pair per method, rows padded at the tail.
+    Every spec must share the problem, start point and output directory. The CSV
+    holds one grad_calls/grad_norm column pair per method, rows padded at the tail.
     """
     if not specs:
         raise ValueError("compare needs at least one experiment")
@@ -454,18 +447,19 @@ def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]
             raise ValueError("compare experiments must share the problem")
         if other.x0 != first.x0:
             raise ValueError("compare experiments must share the start point")
+        if Path(other.output_dir) != Path(first.output_dir):
+            raise ValueError("compare experiments must share the output directory")
 
+    problem = build_problem(first.problem)
     results: dict[str, DriverResult] = {}
-    for spec, problem in zip(specs, _build_all(specs)):
+    for spec in specs:
         result, _, _ = _execute(spec, problem)
         label = spec.method.label().replace(":", "_")
         while label in results:
             label += "+"
         results[label] = result
 
-    out = Path(first.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "compare.csv"
+    path = Path(first.output_dir) / "compare.csv"
     columns = [
         [(ev.grad_calls, ev.grad_norm) for ev in result.trace.events]
         for result in results.values()

@@ -81,15 +81,14 @@ class DriverResult:
     event() appends a trace row, reading the counters from the oracle, and
     keeps best_point, the point of minimal observed gradient norm over all
     trace events (the smoothness-adaptive method converges non-monotonically).
-    The trace is the one record of the run's points: accepted ones are
-    outer_step rows, rejected attempts retry rows. finish() sets converged.
-    Apart from the trace rows, a run keeps O(dim) memory.
+    The trace is the one record of the run's points and outcome: accepted
+    points are outer_step rows, rejected attempts retry rows, and converged
+    is whether the last row is terminated. Apart from the trace rows, a run keeps O(dim) memory.
     """
 
     def __init__(self, oracle: CountingOracle):
         self._oracle = oracle
         self.trace = RunTrace()
-        self.converged = False
         self.best_point: Optional[Vector] = None
         self.best_grad_norm = math.inf
 
@@ -117,10 +116,9 @@ class DriverResult:
             self.best_grad_norm = grad_norm
             self.best_point = x
 
-    def finish(self, converged: bool) -> DriverResult:
-        assert self.best_point is not None
-        self.converged = converged
-        return self
+    @property
+    def converged(self) -> bool:
+        return self.trace.events[-1].kind is EventKind.TERMINATED
 
 
 def _adaptive_restarts(
@@ -151,7 +149,7 @@ def _adaptive_restarts(
     while True:
         if g_ref <= cfg.epsilon:
             res.event(EventKind.TERMINATED, x_ref, g_ref, mu_estimate=mu_prev, L_estimate=L)
-            return res.finish(True)
+            return res
         mu_work = min(_BETA * mu_prev, sys.float_info.max)
         retries = 0
         while True:  # attempts within one outer step
@@ -167,12 +165,12 @@ def _adaptive_restarts(
                     break
                 _check_moved(x_ref, g_ref, cand, g_cand, L)
             except BudgetExhausted:
-                return res.finish(False)
+                return res
             except StalledIterate as stall:
                 if stall.grad_norm > cfg.epsilon:
                     raise
                 res.event(EventKind.TERMINATED, stall.x, stall.grad_norm, mu_estimate=mu_prev, L_estimate=stall.L)
-                return res.finish(True)
+                return res
             res.event(EventKind.RETRY, cand, g_cand, mu_estimate=mu_work, L_estimate=L)
             mu_work /= _BETA
             if g_cand < g_ref:
@@ -250,14 +248,14 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
         g = norm2(g_vec)
         if g <= cfg.epsilon:
             res.event(EventKind.TERMINATED, x, g, f_value=f_x, L_estimate=L_cur)
-            return res.finish(True)
+            return res
         if f_x is None:
             f_x = oracle.value(x)
         res.event(EventKind.OUTER_STEP, x, g, f_value=f_x, L_estimate=L_cur)
         try:
             oracle.reserve(1)
         except BudgetExhausted:
-            return res.finish(False)
+            return res
         L_first = L_cur = L_cur / 2.0
         while (step := _decrease_step(oracle, x, f_x, g_vec, g * g, L_cur, L_first)) is None:
             L_cur = _doubled(L_cur, cfg.L0)
@@ -289,13 +287,13 @@ def ogmg_repeated(
     while True:
         if g <= epsilon:
             res.event(EventKind.TERMINATED, x, g, mu_estimate=mu, L_estimate=L)
-            return res.finish(True)
+            return res
         res.event(EventKind.OUTER_STEP, x, g, mu_estimate=mu, L_estimate=L)
         try:
             x_next = ogmg_run(oracle, x, L, n)
             g_next = norm2(oracle.gradient(x_next))
         except BudgetExhausted:
-            return res.finish(False)
+            return res
         _check_moved(x, g, x_next, g_next, L)
         x, g = x_next, g_next
         if g > 1e6 * g0:

@@ -232,6 +232,9 @@ class TestSweep:
             pytest.param("mu0", (1.0, 1000.0), 1, "L0", id="mu0-above-L0"),
             pytest.param("beta", (1.0,), 1, "unknown sweep axis", id="unknown-axis"),
             pytest.param("L", (100.0,), 0, "repetitions must be >= 1", id="zero-repetitions"),
+            # past the fixed curvature, an L axis would sweep mu and a mu axis L
+            pytest.param("L", (0.5, 100.0), 1, "at least the base's second curvature 1.0", id="L-below-second-curvature"),
+            pytest.param("mu", (1.0, 200.0), 1, "at most the base's first curvature 100.0", id="mu-above-first-curvature"),
         ],
     )
     def test_invalid_values_rejected(self, tmp_path, axis, values, reps, message):
@@ -266,6 +269,11 @@ class TestSweep:
         assert calls == [(110, 100, 1.0, 42)]
         p = gen(110, 100, 1.0, 42)
         assert {r["sqrt_L_over_mu"] for r in rows} == {float(np.sqrt(lipschitz_upper_bound(p) / 1.0))}
+
+    @pytest.mark.parametrize("axis,values", [("L", (1.0, 100.0)), ("mu", (1.0, 100.0))], ids=["L", "mu"])
+    def test_axis_value_at_the_fixed_curvature_is_valid(self, tmp_path, axis, values):
+        # the bound of test_invalid_values_rejected's past-the-curvature cases is itself a point with L = mu
+        assert SweepSpec(base=self.base(tmp_path), axis=axis, values=values).values == values
 
     def test_non_quadratic_L_axis_aborts_before_running(self, tmp_path):
         base = spec(tmp_path, problem=LogRegSpec(10, 5, 1.0, 3))
@@ -651,6 +659,17 @@ class TestCompare:
         with pytest.raises(ValueError, match="share the start"):
             compare(specs)
 
+    def test_mismatched_output_dirs_rejected(self, tmp_path):
+        # only the first directory would get compare.csv, and the others would never be created
+        specs = [
+            spec(tmp_path, output_dir=tmp_path / "a"),
+            spec(tmp_path, method=MethodSpec(name="ugm"), output_dir=tmp_path / "b"),
+        ]
+        with pytest.raises(ValueError, match="share the output directory"):
+            compare(specs)
+        assert not (tmp_path / "a").exists()
+        assert not (tmp_path / "b").exists()
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one experiment"):
             compare([])
@@ -885,6 +904,24 @@ class TestCli:
         ])
         assert code == 1
         assert "--axis mu0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "problem,axis,values,bound",
+        [
+            ("quadratic:1,100", "L", "10,20,400", "second curvature 100.0"),
+            ("quadratic:100,1", "mu", "0.5,50,200", "first curvature 100.0"),
+        ],
+        ids=["L", "mu"],
+    )
+    def test_sweep_past_the_fixed_curvature_exits_one(self, tmp_path, capsys, problem, axis, values, bound):
+        code = main([
+            "sweep", "--problem", problem, "--method", "acgm", "--l0", "100", "--axis", axis,
+            "--values", values, "--eps-rel", "1e-6", "--out", str(tmp_path / "s"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bound in err
         assert not (tmp_path / "s").exists()
 
     def test_sweep_runs_with_mu0_equal_to_l0(self, tmp_path):

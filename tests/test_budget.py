@@ -10,6 +10,7 @@ A value oracle that disagrees with its gradient is diagnosed (exit 3) at a
 cost the cap does not set.
 """
 
+import csv
 import json
 from unittest import mock
 
@@ -32,7 +33,8 @@ from fastgrad import (
     ogmg_repeated,
     ugm,
 )
-from fastgrad import ogmg
+from fastgrad import bench, ogmg
+from fastgrad.bench import METHODS, ExperimentSpec, MethodSpec, StartSpec, build_problem, parse_problem, run_experiment
 from fastgrad.cli import main
 
 DRIVERS = {
@@ -147,6 +149,38 @@ def test_repetition_needs_room_for_its_judging_gradient(tmp_path):
     # the start gradient plus halving_budget(1000, 0.1) = 283 steps fill the cap of 284
     calls, _ = run_capped(tmp_path, "ogmg_repeated", "1e-12", 284, "--mu0", "0.1")
     assert calls == 1
+
+
+@pytest.mark.parametrize("problem", ["quadratic:100.0,10.0,1.0", "logreg:30,20,0.01,5"])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_last_trace_row_is_the_final_state(tmp_path, monkeypatch, method, problem):
+    # converged, the summary and the oracle's tallies all read the run's outcome off its last trace row
+    oracles = []
+    monkeypatch.setattr(bench, "CountingOracle", lambda objective: oracles.append(CountingOracle(objective)) or oracles[-1])
+    problem = parse_problem(problem)
+    instance = build_problem(problem)
+    mu0 = instance.known_mu if METHODS[method].trusts_mu0 else None
+    cfg = SolverConfig(epsilon=1.0, L0=instance.known_L, mu0=mu0)
+    for cap in (1, 2, 3, 10, 100, 1000, 10**4, 10**7):
+        if METHODS[method].takes_n and cap == 1:
+            continue  # a fixed-budget run needs n + 1 >= 2 gradients
+        n = min(60, cap - 1) if METHODS[method].takes_n else None
+        for eps_rel in (1e-3, 1e-9):
+            out = tmp_path / f"{cap}-{eps_rel}"
+            spec = ExperimentSpec(problem, MethodSpec(method, n), cfg, StartSpec("gaussian", 7), output_dir=out,
+                                  eps_rel=eps_rel, max_grad_calls=cap)
+            result, trace_path = run_experiment(spec)
+            with open(trace_path, newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            summary = json.loads((out / "summary.json").read_text())
+            terminated = last["event_kind"] == "terminated"
+            assert (int(last["grad_calls"]), int(last["value_calls"])) == (oracles[-1].grad_calls, oracles[-1].value_calls)
+            assert result.converged == terminated
+            if terminated:
+                assert float(last["grad_norm"]) <= summary["epsilon"]
+            assert summary["converged"] == terminated
+            assert (summary["grad_calls"], summary["value_calls"]) == (int(last["grad_calls"]), int(last["value_calls"]))
+            assert summary["final_grad_norm"] == float(last["grad_norm"])
 
 
 def abort_counts(driver, objective, x0, cfg, caps):

@@ -1,6 +1,7 @@
 """The README's "Command line" section runs, and its "Output formats" section
-names the files `run` writes: every command line exits 0, and the documented
-`summary.json` fields and `trace.csv` header are the written ones."""
+names the files `run` and `sweep` write: every command line exits 0, and the
+documented `summary.json` fields and `trace.csv` and `sweep.csv` headers are
+the written ones."""
 
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fastgrad.bench import TRACE_HEADER
+from fastgrad.bench import SWEEP_HEADER, TRACE_HEADER
 from fastgrad.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,3 +52,8 @@ def test_documented_summary_fields_are_the_written_ones(tmp_path, capsys):
 def test_documented_trace_header_is_the_written_one():
     header = re.search(r"^- `trace\.csv` with header\s+`([^`]+)`", output_formats(), re.MULTILINE).group(1)
     assert header == TRACE_HEADER
+
+
+def test_documented_sweep_header_is_the_written_one():
+    header = re.search(r"^`sweep` writes `sweep\.csv` with header\s+`([^`]+)`", output_formats(), re.MULTILINE).group(1)
+    assert header == SWEEP_HEADER
