@@ -47,11 +47,9 @@ from .bench import (
     MethodSpec,
     QuadraticSpec,
     StartSpec,
-    SweepSpec,
-    compare,
     run_experiment,
-    run_sweep,
 )
+from .grid import SweepSpec, compare, run_sweep
 from .rng import SplitMix64
 
 __version__ = "0.1.0"

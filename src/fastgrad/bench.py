@@ -1,8 +1,7 @@
-"""Benchmark harness: configured runs, sweep grids, method comparisons.
+"""Benchmark harness: experiment specs and one configured run (grid holds sweep and compare).
 
-Outputs are plain CSV plus a JSON summary per run; plotting is a thin
-downstream step. Oracle calls are the portable complexity measure, wall
-time is recorded for information only.
+Outputs are plain CSV plus a JSON summary per run. Oracle calls are the
+portable complexity measure, wall time is recorded for information only.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -183,39 +181,6 @@ class ExperimentSpec:
             raise ValueError(f"eps_rel must be finite and positive, got {self.eps_rel}")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    base: ExperimentSpec
-    axis: str  # one of SWEEP_AXES; L (>= diag[1]) and mu (<= diag[0]) need a 2-dim quadratic base problem
-    values: tuple[float, ...]  # finite, positive and strictly ascending
-    repetitions: int = 1
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if not values:
-            raise ValueError("sweep needs at least one axis value")
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            raise ValueError("axis values must be finite and strictly positive")
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ValueError("axis values must be sorted ascending without duplicates")
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r} (expected one of {SWEEP_AXES})")
-        problem = self.base.problem
-        if self.axis in ("L", "mu") and not (isinstance(problem, QuadraticSpec) and len(problem.diag) == 2):
-            raise ValueError(f"axis {self.axis!r} sweeps need a 2-dim quadratic problem")
-        if self.axis == "L" and values[0] < problem.diag[1]:
-            raise ValueError(f"L-axis values must be at least the base's second curvature {problem.diag[1]!r}, or they sweep mu")
-        if self.axis == "mu" and values[-1] > problem.diag[0]:
-            raise ValueError(f"mu-axis values must be at most the base's first curvature {problem.diag[0]!r}, or they sweep L")
-        if self.base.config.mu0 != self.base.config.L0:  # every axis re-derives or overwrites it
-            raise ValueError("sweep sets mu0 per grid point; sweep it with --axis mu0")
-        if self.axis == "mu0" and not METHODS[self.base.method.name].reads_mu0:
-            raise ValueError(f"method {self.base.method.name} never reads mu0, so a mu0 sweep would repeat one solve")
-
-
 def build_problem(spec: ProblemSpec):
     if isinstance(spec, QuadraticSpec):
         return QuadraticProblem(diag=spec.diag)
@@ -232,20 +197,6 @@ def make_start(spec: StartSpec, dim: int) -> Vector:
     if spec.kind == "ones":
         return np.ones(dim)
     return SplitMix64(spec.seed).normals(dim)  # gaussian: StartSpec rejects every other kind
-
-
-def _resolve_epsilon(spec: ExperimentSpec, objective, x0: Vector) -> SolverConfig:
-    """Turn a relative target into an absolute one using the start gradient.
-
-    The product is clamped to the finite positive normal floats. The sizing
-    evaluation runs on the raw objective, outside the counted oracle: it is
-    experiment setup, not solver work.
-    """
-    if spec.eps_rel is None:
-        return spec.config
-    g0 = norm2(np.asarray(objective.gradient(x0), dtype=np.float64))
-    eps = min(max(spec.eps_rel * g0, sys.float_info.min), sys.float_info.max)
-    return replace(spec.config, epsilon=eps)
 
 
 def _run_fixed_budget(oracle: CountingOracle, x0: Vector, L: float, n: int, epsilon: float) -> DriverResult:
@@ -267,22 +218,24 @@ def _run_fixed_budget(oracle: CountingOracle, x0: Vector, L: float, n: int, epsi
 
 
 def _execute(spec: ExperimentSpec, problem) -> tuple[DriverResult, CountingOracle, SolverConfig]:
-    """Solve an experiment on problem, the instance built from spec.problem."""
+    """Solve an experiment on problem, the instance built from spec.problem.
+
+    A relative target becomes eps_rel * |grad f(x0)|, clamped to the finite
+    positive normal floats. That gradient is set-up, not solver work: it is
+    evaluated on the raw objective, outside the counted oracle.
+    """
     objective = problem.objective()
     oracle = CountingOracle(objective)
     oracle.max_grad_calls = spec.max_grad_calls
     x0 = make_start(spec.x0, problem.dim)
+    cfg = spec.config
     # the oracle or the pass check diagnoses every non-finite result; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        cfg = _resolve_epsilon(spec, objective, x0)
+        if spec.eps_rel is not None:
+            eps = spec.eps_rel * norm2(np.asarray(objective.gradient(x0), dtype=np.float64))
+            cfg = replace(cfg, epsilon=min(max(eps, sys.float_info.min), sys.float_info.max))
         result = METHODS[spec.method.name].solve(oracle, x0, cfg, spec.method.n)
     return result, oracle, cfg
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    return "" if value is None else str(value)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -291,8 +244,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(value) for value in row])
+        writer.writerows([str(value).lower() if isinstance(value, bool) else value for value in row] for row in rows)
 
 
 def write_trace_csv(trace: RunTrace, path: Path) -> None:
@@ -327,29 +279,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
         "events": len(result.trace.events),
         "wall_time_s": wall,
     }
-    with open(trace_path.with_name("summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    trace_path.with_name("summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return result, trace_path
-
-
-def _sweep_point(base: ExperimentSpec, axis: str, value: float, rep: int) -> ExperimentSpec:
-    """Build the grid-point experiment for one (axis value, repetition)."""
-    problem = base.problem
-    cfg = base.config
-    if axis in ("L", "mu"):
-        diag = (value, problem.diag[1]) if axis == "L" else (problem.diag[0], value)
-        problem = QuadraticSpec(diag=diag)
-        # the solver is granted the instance's true L, and its true mu where it trusts mu0 (else mu0 = L0)
-        cfg = replace(cfg, L0=max(diag), mu0=min(diag) if METHODS[base.method.name].trusts_mu0 else None)
-    elif axis == "mu0":
-        cfg = replace(cfg, mu0=value)
-    else:  # L0: SweepSpec rejects every other axis
-        cfg = replace(cfg, L0=value, mu0=None)
-    x0 = base.x0
-    if x0.kind == "gaussian":
-        x0 = StartSpec(kind="gaussian", seed=x0.seed + rep)
-    return replace(base, problem=problem, config=cfg, x0=x0)
 
 
 def _usable_cpus() -> int:
@@ -357,116 +288,3 @@ def _usable_cpus() -> int:
     if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
         return 1  # Windows has no fork, macOS no memfd or CPU set
     return len(os.sched_getaffinity(0))
-
-
-def _solve_claims(points: list[tuple], indices: Iterable[int]) -> tuple[list[tuple], Optional[tuple[int, Exception]]]:
-    """Solve the (spec, problem) points at indices; after a failure, only those of lower index.
-
-    Returns (index, grad_calls, value_calls, converged) per solved point, and
-    (index, exception) of the lowest-indexed failure or None; any exception counts.
-    """
-    rows, failure = [], None
-    for index in indices:
-        if failure is None or index < failure[0]:
-            try:
-                result, oracle, _ = _execute(*points[index])
-                rows.append((index, oracle.grad_calls, oracle.value_calls, result.converged))
-            except Exception as exc:
-                failure = (index, exc)
-    return rows, failure
-
-
-def _solve_grid(points: list[tuple], kappas: list[float], workers: int) -> list[tuple[int, int, bool]]:
-    """(grad_calls, value_calls, converged) per (spec, problem) point, in grid order.
-
-    This process and workers - 1 forked ones claim points one at a time from a
-    claim file, largest kappa = L/mu first (Graham's LPT list schedule); the
-    results do not depend on workers. A failure raises the lowest-indexed failing
-    point's exception, as a serial run would. A worker that dies or sends no
-    outcome, and rows that do not carry each point once, raise RuntimeError.
-    """
-    order = sorted(range(len(points)), key=kappas.__getitem__, reverse=True)
-    if workers == 1:
-        outcomes = [_solve_claims(points, order)]
-    else:  # a module of its own, so that serial runs never load or compile it
-        from .parallel import solve_claimed
-
-        outcomes = solve_claimed(partial(_solve_claims, points), order, workers)
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    rows = sorted(row for rows, _ in outcomes for row in rows)
-    if [row[0] for row in rows] != list(range(len(points))):
-        raise RuntimeError(f"the sweep's {len(points)} points came back as {len(rows)} rows, not one each")
-    return [row[1:] for row in rows]
-
-
-def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
-    """Run every grid point x repetition; write one summary row each.
-
-    Every grid point is built, and each distinct problem generated, before
-    any of them executes; replace() re-checks each point's spec.
-    Points of the L and mu axes, each its own 2-d quadratic, are solved in
-    parallel on up to one process per usable CPU. Rows are written in grid
-    order and do not depend on the process count, so fixed seeds give
-    bit-identical files.
-    """
-    grid = [
-        (value, _sweep_point(spec.base, spec.axis, value, rep))
-        for value in spec.values
-        for rep in range(spec.repetitions)
-    ]
-    points = [point for _, point in grid]
-    instances = {problem: build_problem(problem) for problem in dict.fromkeys(point.problem for point in points)}
-    built = [instances[point.problem] for point in points]
-    # mu0/L0 points share one instance, whose large products OpenBLAS already threads
-    workers = min(len(points), _usable_cpus()) if spec.axis in ("L", "mu") else 1
-    kappas = [problem.known_L / problem.known_mu for problem in built]
-    solved = _solve_grid(list(zip(points, built)), kappas, workers)
-    header = SWEEP_HEADER.split(",")
-    rows = [
-        dict(zip(header, (value, float(np.sqrt(kappa)), *outcome)))
-        for (value, _), kappa, outcome in zip(grid, kappas, solved, strict=True)
-    ]
-    path = Path(spec.base.output_dir) / "sweep.csv"
-    _write_csv(path, header, (row.values() for row in rows))
-    return rows, path
-
-
-def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]:
-    """Run several methods on one problem; write aligned overlay columns.
-
-    Every spec must share the problem, start point and output directory. The CSV
-    holds one grad_calls/grad_norm column pair per method, rows padded at the tail.
-    """
-    if not specs:
-        raise ValueError("compare needs at least one experiment")
-    first = specs[0]
-    for other in specs[1:]:
-        if other.problem != first.problem:
-            raise ValueError("compare experiments must share the problem")
-        if other.x0 != first.x0:
-            raise ValueError("compare experiments must share the start point")
-        if Path(other.output_dir) != Path(first.output_dir):
-            raise ValueError("compare experiments must share the output directory")
-
-    problem = build_problem(first.problem)
-    results: dict[str, DriverResult] = {}
-    for spec in specs:
-        result, _, _ = _execute(spec, problem)
-        label = spec.method.label().replace(":", "_")
-        while label in results:
-            label += "+"
-        results[label] = result
-
-    path = Path(first.output_dir) / "compare.csv"
-    columns = [
-        [(ev.grad_calls, ev.grad_norm) for ev in result.trace.events]
-        for result in results.values()
-    ]
-    rows = []
-    for pairs in zip_longest(*columns, fillvalue=(None, None)):
-        rows.append([value for pair in pairs for value in pair])
-    header = [name for label in results for name in (f"{label}_grad_calls", f"{label}_grad_norm")]
-    _write_csv(path, header, rows)
-    return results, path

@@ -23,15 +23,13 @@ from .bench import (
     SWEEP_AXES,
     ExperimentSpec,
     StartSpec,
-    SweepSpec,
-    compare,
     parse_method,
     parse_problem,
     run_experiment,
-    run_sweep,
 )
 from .core import DEFAULT_MAX_GRAD_CALLS
 from .drivers import SolverConfig
+from .grid import SweepSpec, compare, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,7 +9,6 @@ smoothness estimate by delegating to the sufficient-decrease variant;
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from .core import (
     BudgetExhausted,
     CountingOracle,
     EventKind,
+    NonFiniteError,
     RunTrace,
     TraceEvent,
     Vector,
@@ -34,8 +34,6 @@ from .ogmg import (
     ogmg_run,
     ogmgl_run,
 )
-
-log = logging.getLogger(__name__)
 
 _BETA = 4.0  # estimate update factor, optimal for the worst case
 _MU_FLOOR_RATIO = 1e-30  # the working mu never drops below this fraction of mu0
@@ -177,7 +175,9 @@ def _adaptive_restarts(
                 x_ref, g_ref = cand, g_cand  # adopt the improved restart point
             retries += 1
             if retries >= _MAX_RETRIES_PER_STEP or mu_work < mu_floor:
-                log.warning(
+                import logging  # at its only use, so that runs without a forced accept never load it
+
+                logging.getLogger(__name__).warning(
                     "halving test failed %d times (working mu %.3e); accepting the "
                     "best point of this step and moving on",
                     retries,
@@ -191,7 +191,8 @@ def acgm(oracle: CountingOracle, x0: Vector, L: float, cfg: SolverConfig) -> Dri
     """Restart method adaptive in the strong-convexity estimate.
 
     L is trusted as a valid smoothness constant; each pass is one run of the
-    fixed-budget method with step size 1/L.
+    fixed-budget method with step size 1/L. A non-finite result after the start
+    point re-raises NonFiniteError naming L as the likely cause.
     """
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"L must be positive, got {L}")
@@ -199,7 +200,16 @@ def acgm(oracle: CountingOracle, x0: Vector, L: float, cfg: SolverConfig) -> Dri
     def run_pass(x_ref: Vector, L: float, _mu: float, n: int) -> tuple[Vector, float]:
         return ogmg_run(oracle, x_ref, L, n), L
 
-    return _adaptive_restarts(oracle, x0, L, cfg, run_pass, DriverResult(oracle))
+    res = DriverResult(oracle)
+    try:
+        return _adaptive_restarts(oracle, x0, L, cfg, run_pass, res)
+    except NonFiniteError as exc:
+        if not res.trace.events:  # the start point or its gradient failed, before any pass
+            raise
+        raise NonFiniteError(
+            f"{exc}; acgm trusts L0 = {L!r} (--l0) as the smoothness constant, and a value below "
+            "the true one, or a non-convex or non-smooth objective, makes its passes diverge"
+        ) from None
 
 
 def algm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:

@@ -775,6 +775,19 @@ class TestCli:
         assert code == 3
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("l0,grads", [("50", 1229), ("10", 587), ("1", 317)])
+    def test_acgm_divergence_names_the_trusted_l0(self, tmp_path, capsys, l0, grads):
+        # L = 100 here: acgm steps at 1/L0 for an L0 below it, so its passes diverge
+        code = main([
+            "run", "--problem", "quadratic:100,1", "--method", "acgm", "--l0", l0, "--eps-rel", "1e-6",
+            "--x0", "gaussian", "--seed", "3", "--out", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"aborted: gradient has non-finite components after {grads} gradient evaluations; ")
+        assert f"acgm trusts L0 = {float(l0)!r} (--l0) as the smoothness constant" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "method",
         [["acgm", "--l0", "1e17"], ["acgm", "--l0", "5e307"], ["algm", "--l0", "5e307"],

@@ -10,6 +10,7 @@ from fastgrad import (
     CountingOracle,
     DivergenceError,
     EventKind,
+    NonFiniteError,
     Objective,
     QuadraticProblem,
     SolverConfig,
@@ -210,6 +211,13 @@ class TestAcgm:
         assert kinds.count(EventKind.OUTER_STEP) == 2
         assert kinds.count(EventKind.RETRY) == 98
         assert sum("accepting the best point" in r.message for r in caplog.records) == 98
+
+    def test_non_finite_start_gradient_is_not_blamed_on_L(self):
+        # no pass has run, so the abort keeps the oracle's own message
+        broken = Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.array([np.inf, 0.0]))
+        with pytest.raises(NonFiniteError) as raised:
+            acgm(CountingOracle(broken), np.ones(2), 1.0, SolverConfig(epsilon=1e-6, L0=1.0))
+        assert str(raised.value) == "gradient has non-finite components after 1 gradient evaluations"
 
 
 class TestUgm:

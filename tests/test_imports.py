@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses, every name the
 scripts and tests import from the package is in its __all__, serial commands
-never import the modules that parallel sweeps use, the commands run
-clean under python -X dev -W error, and every exception the package defines
-survives the pickling that carries it out of a worker.
+never import the modules that parallel sweeps use, run never imports
+logging, the commands run clean under python -X dev -W error, and every
+exception the package defines survives the pickling that carries it out of
+a worker.
 
 The unused-import check parses each source file with ast, so it needs no linter;
 it covers the scripts and the tests too.
@@ -114,6 +115,40 @@ def test_commands_run_clean_in_dev_mode(tmp_path):
     done = run_serial_then_parallel(tmp_path, "-X", "dev", "-W", "error")
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+# run must not pay for logging, which only a forced accept uses; the forced
+# accept at the end shows that the check can see it load, and under which logger
+RUN_THEN_FORCED_ACCEPT = """
+import sys
+import numpy as np
+from fastgrad import CountingOracle, Objective, SolverConfig, acgm, drivers
+from fastgrad.cli import main
+
+argv = ["run", "--problem", "quadratic:100,1", "--method", "acgm", "--l0", "100", "--eps-rel", "1e-5"]
+assert main([*argv, "--out", sys.argv[1]]) == 0
+print("logging" in sys.modules)
+drivers._MAX_RETRIES_PER_STEP = 1
+c = np.array([3.0, 4.0])  # a constant gradient never halves, so every step is forced
+oracle = CountingOracle(Objective(dim=2, value=lambda x: float(c @ x), gradient=lambda x: c))
+oracle.max_grad_calls = 20
+acgm(oracle, np.zeros(2), 1.0, SolverConfig(epsilon=1e-3, L0=1.0))
+logging = sys.modules["logging"]
+print(*(name for name, made in logging.Logger.manager.loggerDict.items() if isinstance(made, logging.Logger)))
+"""
+
+
+def test_run_never_loads_logging(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_THEN_FORCED_ACCEPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    after_run, loggers = (line for line in done.stdout.splitlines() if not line.startswith("converged"))
+    assert after_run == "False"
+    assert loggers == "fastgrad.drivers"
+    assert "accepting the best point of this step" in done.stderr
 
 
 # one sample per exception class defined in the package; a new class needs one here

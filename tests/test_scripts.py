@@ -1,6 +1,8 @@
-"""Each script under scripts/ runs to exit 0 and writes every CSV it reports; the scaling
-script's spread family shows the adaptive methods paying about sqrt(kappa), ugm nearer kappa."""
+"""Each script under scripts/ that writes CSVs runs to exit 0 and writes every CSV it reports;
+the scaling script's spread family shows the adaptive methods paying about sqrt(kappa), ugm
+nearer kappa; the benchmark history reader reads every committed BENCH_*.json."""
 
+import json
 import os
 import re
 import subprocess
@@ -49,3 +51,24 @@ def test_spread_family_shows_the_comparison(tmp_path):
     assert slopes.keys() == {"acgm", "algm", "ugm", "ogmg_repeated"}
     assert slopes["acgm"] <= 1.2 and slopes["algm"] <= 1.2
     assert slopes["ugm"] >= 1.5
+
+
+def test_bench_history_reads_every_committed_file():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_history.py")], capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    printed, marked = set(), set()
+    for line in done.stdout.splitlines():
+        entry = tuple(line[2:].split()[:3])  # file, workload, metric after the claim mark
+        printed.add(entry)
+        if line.startswith("*"):
+            marked.add(entry)
+    summaries, claims = set(), set()
+    for path in ROOT.glob("BENCH_*.json"):
+        bench = json.loads(path.read_text())
+        summaries |= {(path.name, w, m) for w, body in bench["workloads"].items() for m in body["summary"]}
+        if "claimed" in bench:  # BENCH_3.json has no claimed key
+            claims.add((path.name, bench["claimed"]["workload"], bench["claimed"]["metric"]))
+    assert printed == summaries
+    assert marked == claims
