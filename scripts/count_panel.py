@@ -2,9 +2,9 @@
 """Oracle-count panel: gradients and values of a fixed set of cases, as a markdown table.
 
 Every algorithm change is judged on the same rows:
-- quad-sweep's two reference sweeps (perfbench/workloads.py);
+- quad-sweep's two reference sweeps, the command lines perfbench/workloads.py builds;
 - the benchmark's logistic instance with algm at c * Lb, c = 1, 100, 1e4, where Lb
-  is the instance's smoothness bound;
+  is the instance's smoothness bound (c = 100 is the logreg-algm workload);
 - algm over L0 on quadratic:1,1 and quadratic:1000,0.1 from x0 = ones, the largest
   L0 of the first under a 1e5-gradient cap;
 - the value-precision floor on logreg:60,40,0.01,3 (algm and ugm at the default
@@ -38,11 +38,11 @@ import numpy as np
 from fastgrad import CountingOracle, QuadraticProblem, SolverConfig, bench, lipschitz_upper_bound, norm2
 from fastgrad.cli import main
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 from test_worst_case import chain  # noqa: E402  the builder the worst-case tests check
+from workloads import EPS_REL_30, WORKLOADS  # noqa: E402  the benchmark's own constants, read only
 
-EPS_REL_30 = repr(2.0**-30)
-QUAD_VALUES = "100.0,1000.0,10000.0,100000.0,1000000.0"
 LOGREG = "logreg:300,3000,0.001,42"
 FLOOR = "logreg:60,40,0.01,3"
 KAPPAS = (1e2, 1e3, 1e4)
@@ -99,17 +99,16 @@ class Panel:
         self.row(method, problem, l0 or "1 (default)", f"{flag[2:]} {shown(target)}", code,
                  oracle.grad_calls, oracle.value_calls, limit)
 
-    def sweep(self, method):
-        """quad-sweep's reference call: an L-axis sweep, each point at its true L and K = 30."""
-        code, out = self.cli(
-            "sweep", "--problem", "quadratic:100,1", "--method", method, "--l0", "100", "--axis", "L",
-            "--values", QUAD_VALUES, "--reps", "3", "--eps-rel", EPS_REL_30, "--x0", "gaussian", "--seed", "7",
-        )
+    def sweep(self, argv):
+        """One of quad-sweep's reference calls: an L-axis sweep of quadratic:L,1, each point at its true L."""
+        code, out = self.cli(*argv)
+        method, axis, reps, eps_rel = (argv[argv.index(flag) + 1] for flag in ("--method", "--values", "--reps", "--eps-rel"))
         lines = (out / "sweep.csv").read_text().splitlines()[1:]
         cells = [line.split(",") for line in lines]
         grads, values = (sum(int(c[i]) for c in cells) for i in (2, 3))
-        limit = sum(bound(method, float(c[0]), 1.0, 30.0, float(c[0])) for c in cells)
-        self.row(method, f"quad-sweep: L = {QUAD_VALUES} x 3", "L", f"eps-rel {shown(EPS_REL_30)}", code, grads, values, limit)
+        K = -math.log2(float(eps_rel))
+        limit = sum(bound(method, float(c[0]), 1.0, K, float(c[0])) for c in cells)
+        self.row(method, f"quad-sweep: L = {axis} x {reps}", "L", f"eps-rel {shown(eps_rel)}", code, grads, values, limit)
 
     def library(self, method, name, objective, L, mu, x0, K):
         """A solve the command line cannot express; the exit code maps as the CLI maps it."""
@@ -139,8 +138,9 @@ def main_panel(out: Path) -> str:
     bench.CountingOracle = Recorded  # bench's one-run path looks it up at call time
     logging.getLogger("fastgrad.drivers").setLevel(logging.ERROR)  # the mu repro forces accepts
 
-    for method in ("acgm", "algm"):
-        panel.sweep(method)
+    quad_sweep = WORKLOADS["quad-sweep"]
+    for argv in quad_sweep.setup(quad_sweep.reference):
+        panel.sweep(argv)
 
     lb = lipschitz_upper_bound(bench.build_problem(bench.parse_problem(LOGREG)))
     for c in (1.0, 100.0, 1e4):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -20,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DEFAULT_MAX_GRAD_CALLS, CountingOracle, EventKind, RunTrace, TraceEvent, Vector, norm2
+from .core import DEFAULT_MAX_GRAD_CALLS, CountingOracle, EventKind, RunTrace, TraceEvent, Vector, _positive, norm2
 from .drivers import DriverResult, SolverConfig, acgm, algm, ogmg_repeated, ugm
 from .ogmg import ogmg_run
 from .problems import QuadraticProblem, gen_logreg, load_logreg_csv
@@ -170,15 +169,13 @@ class ExperimentSpec:
     max_grad_calls: int = DEFAULT_MAX_GRAD_CALLS  # hard cap, enforced by the oracle
 
     def __post_init__(self):
-        reg = getattr(self.problem, "reg", 1.0)  # the quadratic family has no regularizer
-        if not (math.isfinite(reg) and reg > 0):
-            raise ValueError(f"reg must be finite and positive, got {reg}")
+        _positive("reg", getattr(self.problem, "reg", 1.0))  # the quadratic family has no regularizer
         if self.max_grad_calls < 1:
             raise ValueError(f"max_grad_calls must be >= 1, got {self.max_grad_calls}")
         if self.method.n is not None and self.method.n + 1 > self.max_grad_calls:
             raise ValueError(f"{self.method.label()} needs n + 1 gradients, over max_grad_calls {self.max_grad_calls}")
-        if self.eps_rel is not None and not (math.isfinite(self.eps_rel) and self.eps_rel > 0):
-            raise ValueError(f"eps_rel must be finite and positive, got {self.eps_rel}")
+        if self.eps_rel is not None:
+            _positive("eps_rel", self.eps_rel)
 
 
 def build_problem(spec: ProblemSpec):

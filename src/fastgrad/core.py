@@ -36,6 +36,12 @@ def _all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+def _positive(name: str, value: float) -> None:
+    """Raise ValueError unless value, a curvature constant or a target, is finite and above zero."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def as_vector(x) -> Vector:
     """Convert to a 1-D float64 array, rejecting non-finite components."""
     arr = np.asarray(x, dtype=np.float64)

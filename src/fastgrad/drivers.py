@@ -22,6 +22,7 @@ from .core import (
     RunTrace,
     TraceEvent,
     Vector,
+    _positive,
     norm2,
     start_vector,
 )
@@ -61,14 +62,11 @@ class SolverConfig:
     mu0: Optional[float] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (math.isfinite(self.L0) and self.L0 > 0.0):
-            raise ValueError(f"L0 must be positive, got {self.L0}")
+        _positive("epsilon", self.epsilon)
+        _positive("L0", self.L0)
         if self.mu0 is None:
             object.__setattr__(self, "mu0", self.L0)
-        if not (math.isfinite(self.mu0) and self.mu0 > 0.0):
-            raise ValueError(f"mu0 must be positive, got {self.mu0}")
+        _positive("mu0", self.mu0)
         if self.mu0 > self.L0:
             raise ValueError(f"mu0={self.mu0} exceeds L0={self.L0}")
 
@@ -194,8 +192,7 @@ def acgm(oracle: CountingOracle, x0: Vector, L: float, cfg: SolverConfig) -> Dri
     fixed-budget method with step size 1/L. A non-finite result after the start
     point re-raises NonFiniteError naming L as the likely cause.
     """
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"L must be positive, got {L}")
+    _positive("L", L)
 
     def run_pass(x_ref: Vector, L: float, _mu: float, n: int) -> tuple[Vector, float]:
         return ogmg_run(oracle, x_ref, L, n), L
@@ -288,8 +285,7 @@ def ogmg_repeated(
     not fit the gradient budget.
     """
     n = halving_budget(L, mu)  # rejects non-finite and non-positive L and mu
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _positive("epsilon", epsilon)
 
     x = start_vector(oracle, x0)
     res = DriverResult(oracle)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CountingOracle, NonFiniteError, Vector, _all_finite, norm2, start_vector
+from .core import CountingOracle, NonFiniteError, Vector, _all_finite, _positive, norm2, start_vector
 
 # Callback signatures:
 #   iterate probe: (x_i, grad_at_x_i) before each step
@@ -101,8 +101,8 @@ def halving_budget(L: float, mu: float) -> int:
 
     A ratio that overflows gives the largest finite float, a step count no
     gradient budget can reserve."""
-    if not (math.isfinite(L) and math.isfinite(mu)) or L <= 0.0 or mu <= 0.0:
-        raise ValueError(f"L and mu must be positive and finite, got L={L}, mu={mu}")
+    _positive("L", L)
+    _positive("mu", mu)
     return max(1, math.ceil(min(2.0 * math.sqrt(2.0 * L / mu), sys.float_info.max)))
 
 
@@ -162,8 +162,7 @@ def ogmg_run(
     BudgetExhausted, before any step, unless N + 1 gradients fit the budget:
     the N steps and the one that judges the returned point.
     """
-    if not math.isfinite(L) or L <= 0.0:
-        raise ValueError(f"L must be positive and finite, got {L}")
+    _positive("L", L)
     inv_L = 1.0 / L
 
     def step(_i: int, x: Vector) -> Vector:
@@ -267,8 +266,7 @@ def ogmgl_run(
     that leaves the iterate unchanged raises StalledIterate, which carries that
     iterate: whether it is converged is the caller's call.
     """
-    if not math.isfinite(L_in) or L_in <= 0.0:
-        raise ValueError(f"L_in must be positive and finite, got {L_in}")
+    _positive("L_in", L_in)
     x0 = start_vector(oracle, x0)
     L_hat = L_in / 2.0
     restarts = 0

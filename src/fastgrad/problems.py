@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Objective, Vector
+from .core import Objective, Vector, _positive
 from .rng import SplitMix64
 
 _POWER_ITER_SEED = 0x5EED
@@ -88,8 +88,7 @@ class LogRegProblem:
             raise ValueError("features contain non-finite entries")
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must all be +1 or -1")
-        if not (math.isfinite(self.reg) and self.reg > 0.0):
-            raise ValueError(f"reg must be positive, got {self.reg}")
+        _positive("reg", self.reg)
 
     @property
     def dim(self) -> int:

@@ -996,18 +996,24 @@ class TestCli:
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize("name", list(METHODS))
-    def test_only_a_method_that_takes_n_takes_a_payload(self, tmp_path, capsys, command, name):
+    @pytest.mark.parametrize(
+        "label",
+        # the README's two-field form reads as the baseline's L and mu, which come from --l0 and --mu0
+        [pytest.param(f"{name}:40", id=name) for name in METHODS]
+        + [pytest.param("ogmg_repeated:1000,0.1", id="ogmg_repeated-two-fields")],
+    )
+    def test_only_a_method_that_takes_n_takes_a_payload(self, tmp_path, capsys, command, label):
+        name = label.partition(":")[0]
         common = ["--problem", "quadratic:1000,0.1", "--l0", "1000", "--seed", "7", "--eps-rel", "0.5"]
         flag = "--method" if command == "run" else "--spec"
-        code = main([command, *common, flag, f"{name}:40", "--out", str(tmp_path / "o")])
+        code = main([command, *common, flag, label, "--out", str(tmp_path / "o")])
         if METHODS[name].takes_n:
             assert code == 0
             return
         flags = "--l0 and --mu0" if METHODS[name].reads_mu0 else "--l0"
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: cannot parse method '{name}:40': method {name} takes no payload; its constants come from {flags}\n"
+        assert err == f"error: cannot parse method '{label}': method {name} takes no payload; its constants come from {flags}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -1028,26 +1034,6 @@ class TestCli:
         assert capsys.readouterr().err == f"error: method {name} requires an explicit --l0\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_repeated_payload_form_names_l0_and_mu0(self, tmp_path, capsys, command):
-        common = ["--problem", "quadratic:1000,0.1", "--l0", "1000", "--eps-rel", "1e-6"]
-        flag = "--method" if command == "run" else "--spec"
-        assert main([command, *common, flag, "ogmg_repeated:1000,0.1", "--out", str(tmp_path / "o")]) == 1
-        assert "ogmg_repeated takes no payload; its constants come from --l0 and --mu0" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_acgm_requires_l0(self, tmp_path, capsys, command):
-        # acgm trusts L0 as the true smoothness constant, so it gets no default
-        method = ["--method", "acgm"] if command == "run" else ["--spec", "ugm", "--spec", "acgm"]
-        code = main([
-            command, "--problem", "quadratic:1000.0,0.1", "--seed", "7", "--eps-rel", "1e-6",
-            *method, "--out", str(tmp_path / "o"),
-        ])
-        assert code == 1
-        assert "requires an explicit --l0" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize(
         "problem",
         ["logreg:30,20,-1.0,5", "logreg:30,20,nan,5", "logreg_csv:{csv},-1.0"],
@@ -1064,7 +1050,7 @@ class TestCli:
             "--eps-rel", "1e-3", "--out", str(tmp_path / "o"),
         ])
         assert code == 1
-        assert "reg must be finite and positive" in capsys.readouterr().err
+        assert "reg must be positive and finite" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "o").exists()
 

@@ -2,8 +2,10 @@
 
 The panel's logistic rows depend on the BLAS thread count, so the script runs
 in a subprocess with it pinned to perfbench/expected.json's blas_threads, as
-perfbench pins it. Its quad-sweep rows must also equal the benchmark's recorded
-counts, so that the panel cannot drift from the benchmark.
+perfbench pins it. Its quad-sweep rows, and its algm row on the logistic
+instance at 100 times the smoothness bound, must also equal the benchmark's
+recorded quad-sweep and logreg-algm counts, so that the panel cannot drift from
+the benchmark.
 """
 
 import json
@@ -31,3 +33,9 @@ def test_panel_reproduces_counts_md():
     rows = [line.split(" | ") for line in done.stdout.splitlines() if " | quad-sweep: " in line]
     recorded = RECORDED["workloads"]["quad-sweep"]
     assert [(int(row[5]), int(row[6])) for row in rows] == [(call["grad_evals"], call["value_evals"]) for call in recorded]
+
+    # the logistic rows run algm at c = 1, 100 and 1e4 times the bound; c = 100 is the logreg-algm workload
+    rows = [line.split(" | ") for line in done.stdout.splitlines() if line.startswith("| algm | logreg:300,3000,")]
+    assert len(rows) == 3 and float(rows[1][2]) == 100.0 * float(rows[0][2])
+    (call,) = RECORDED["workloads"]["logreg-algm"]
+    assert (int(rows[1][5]), int(rows[1][6])) == (call["grad_evals"], call["value_evals"])

@@ -1,7 +1,8 @@
-"""The README's "Command line" section runs, and its "Output formats" section
-names the files `run` and `sweep` write: every command line exits 0, and the
-documented `summary.json` fields and `trace.csv` and `sweep.csv` headers are
-the written ones."""
+"""The README's "Command line" section runs and names the forms the parsers
+read, and its "Output formats" section names the files `run` and `sweep`
+write: every command line exits 0, every problem and method form appears, and
+the documented `summary.json` fields and `trace.csv` and `sweep.csv` headers
+are the written ones."""
 
 import json
 import re
@@ -10,21 +11,20 @@ from pathlib import Path
 
 import pytest
 
-from fastgrad.bench import SWEEP_HEADER, TRACE_HEADER
+from fastgrad.bench import METHOD_FORMS, PROBLEM_FORMS, SWEEP_HEADER, TRACE_HEADER
 from fastgrad.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(title):
+    return README.read_text().split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
 def readme_commands():
-    section = README.read_text().split("## Command line", 1)[1]
-    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    block = re.search(r"```\n(.*?)```", section("Command line"), re.DOTALL).group(1)
     joined = block.replace("\\\n", " ")
     return [shlex.split(line) for line in joined.splitlines() if line.strip()]
-
-
-def output_formats():
-    return README.read_text().split("## Output formats", 1)[1].split("\n## ", 1)[0]
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[1])
@@ -36,6 +36,12 @@ def test_readme_command_exits_zero(argv, tmp_path):
     assert main(args) == 0
 
 
+@pytest.mark.parametrize("form", [*PROBLEM_FORMS.split(" | "), *METHOD_FORMS.split(" | ")])
+def test_documented_forms_are_the_parsed_ones(form):
+    # the CLI help and the unknown-label errors print these same forms
+    assert f"`{form}`" in section("Command line")
+
+
 def test_documented_summary_fields_are_the_written_ones(tmp_path, capsys):
     assert main([
         "run", "--problem", "quadratic:1000,0.1", "--method", "acgm", "--l0", "1000",
@@ -43,17 +49,17 @@ def test_documented_summary_fields_are_the_written_ones(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     summary = json.loads((tmp_path / "summary.json").read_text())
-    bullet = re.search(r"^- `summary\.json` with (.*?)\n\n", output_formats(), re.DOTALL | re.MULTILINE).group(1)
+    bullet = re.search(r"^- `summary\.json` with (.*?)\n\n", section("Output formats"), re.DOTALL | re.MULTILINE).group(1)
     assert f"`schema` (`{summary['schema']}`)" in bullet
     fields = [name for name in re.findall(r"`([^`]+)`", bullet) if name != summary["schema"]]
     assert sorted(fields) == sorted(summary)
 
 
 def test_documented_trace_header_is_the_written_one():
-    header = re.search(r"^- `trace\.csv` with header\s+`([^`]+)`", output_formats(), re.MULTILINE).group(1)
+    header = re.search(r"^- `trace\.csv` with header\s+`([^`]+)`", section("Output formats"), re.MULTILINE).group(1)
     assert header == TRACE_HEADER
 
 
 def test_documented_sweep_header_is_the_written_one():
-    header = re.search(r"^`sweep` writes `sweep\.csv` with header\s+`([^`]+)`", output_formats(), re.MULTILINE).group(1)
+    header = re.search(r"^`sweep` writes `sweep\.csv` with header\s+`([^`]+)`", section("Output formats"), re.MULTILINE).group(1)
     assert header == SWEEP_HEADER

@@ -1,6 +1,7 @@
 """Each script under scripts/ that writes CSVs runs to exit 0 and writes every CSV it reports;
 the scaling script's spread family shows the adaptive methods paying about sqrt(kappa), ugm
-nearer kappa; the benchmark history reader reads every committed BENCH_*.json."""
+nearer kappa; the benchmark history reader reads every committed BENCH_*.json, judges
+each line by the claim rule and ends quietly when its reader closes the pipe."""
 
 import json
 import os
@@ -61,6 +62,7 @@ def test_bench_history_reads_every_committed_file():
     printed, marked = set(), set()
     for line in done.stdout.splitlines():
         entry = tuple(line[2:].split()[:3])  # file, workload, metric after the claim mark
+        assert line.split()[-1] in ("holds", "fails", "?")
         printed.add(entry)
         if line.startswith("*"):
             marked.add(entry)
@@ -72,3 +74,12 @@ def test_bench_history_reads_every_committed_file():
             claims.add((path.name, bench["claimed"]["workload"], bench["claimed"]["metric"]))
     assert printed == summaries
     assert marked == claims
+
+
+def test_bench_history_ends_quietly_when_its_reader_closes():
+    argv = [sys.executable, str(ROOT / "scripts" / "bench_history.py")]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # as `| head` does, before the script has written anything
+        stderr = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert stderr == b""
