@@ -1034,6 +1034,18 @@ class TestCli:
         assert capsys.readouterr().err == f"error: method {name} requires an explicit --l0\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_acgm_requires_l0(self, tmp_path, capsys, command):
+        # acgm trusts L0 as the true smoothness constant, so it gets no default
+        method = ["--method", "acgm"] if command == "run" else ["--spec", "ugm", "--spec", "acgm"]
+        code = main([
+            command, "--problem", "quadratic:1000.0,0.1", "--seed", "7", "--eps-rel", "1e-6",
+            *method, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "requires an explicit --l0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "problem",
         ["logreg:30,20,-1.0,5", "logreg:30,20,nan,5", "logreg_csv:{csv},-1.0"],
