@@ -32,7 +32,7 @@ def main():
     args = parser.parse_args()
 
     # the quadratic's constants are known exactly; the logistic instance gets
-    # its certified bounds (reg from below, the Gram bound from above)
+    # reg, a certified strong-convexity bound, and the power iteration's smoothness estimate
     L_logreg = lipschitz_upper_bound(gen_logreg(110, 100, 1.0, 42))
     runs = []
     for mu0_scale, tag in ((1.0, "mu0_eq_L"), (1e-2, "mu0_low"), (1e-4, "mu0_lower")):

@@ -4,7 +4,7 @@
 Every algorithm change is judged on the same rows:
 - quad-sweep's two reference sweeps, the command lines perfbench/workloads.py builds;
 - the benchmark's logistic instance with algm at c * Lb, c = 1, 100, 1e4, where Lb
-  is the instance's smoothness bound (c = 100 is the logreg-algm workload);
+  is lipschitz_upper_bound's smoothness estimate (c = 100 is the logreg-algm workload);
 - algm over L0 on quadratic:1,1 and quadratic:1000,0.1 from x0 = ones, the largest
   L0 of the first under a 1e5-gradient cap;
 - the value-precision floor on logreg:60,40,0.01,3 (algm and ugm at the default

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 import time
 from collections import namedtuple
@@ -25,11 +24,9 @@ from .ogmg import ogmg_run
 from .problems import QuadraticProblem, gen_logreg, load_logreg_csv
 from .rng import SplitMix64
 
-TRACE_HEADER = ",".join(("event_index", "event_kind", *TraceEvent._fields[1:]))
-SWEEP_HEADER = "axis_value,sqrt_L_over_mu,total_grad_calls,total_value_calls,converged"
+TRACE_HEADER = ("event_index", "event_kind", *TraceEvent._fields[1:])
 
 START_KINDS = ("zeros", "ones", "gaussian")
-SWEEP_AXES = ("L", "mu", "mu0", "L0")
 PROBLEM_FORMS = "quadratic:<diag,...> | logreg:<n,m,reg,seed> | logreg_csv:<path,reg>"
 
 # One row per method. solve(oracle, x0, cfg, n) looks its driver up as a module global when called,
@@ -150,6 +147,8 @@ class StartSpec:
     def __post_init__(self):
         if self.kind not in START_KINDS:
             raise ValueError(f"unknown start kind {self.kind!r} (expected one of {START_KINDS})")
+        if self.kind != "gaussian":  # only the gaussian start reads its seed, so equal starts compare equal
+            object.__setattr__(self, "seed", 0)
 
     def label(self) -> str:
         return f"{self.kind}:{self.seed}" if self.kind == "gaussian" else self.kind
@@ -246,7 +245,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 def write_trace_csv(trace: RunTrace, path: Path) -> None:
     rows = ((idx, ev.kind.value, *ev[1:]) for idx, ev in enumerate(trace.events))
-    _write_csv(path, TRACE_HEADER.split(","), rows)
+    _write_csv(path, TRACE_HEADER, rows)
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
@@ -279,9 +278,3 @@ def run_experiment(spec: ExperimentSpec) -> tuple[DriverResult, Path]:
     trace_path.with_name("summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return result, trace_path
 
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork, make a claim file or read its CPU set."""
-    if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
-        return 1  # Windows has no fork, macOS no memfd or CPU set
-    return len(os.sched_getaffinity(0))

@@ -20,7 +20,6 @@ from .bench import (
     METHODS,
     PROBLEM_FORMS,
     START_KINDS,
-    SWEEP_AXES,
     ExperimentSpec,
     StartSpec,
     parse_method,
@@ -29,7 +28,7 @@ from .bench import (
 )
 from .core import DEFAULT_MAX_GRAD_CALLS
 from .drivers import SolverConfig
-from .grid import SweepSpec, compare, run_sweep
+from .grid import SWEEP_AXES, SweepSpec, compare, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):

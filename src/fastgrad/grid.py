@@ -1,13 +1,14 @@
 """Multi-experiment commands: one-axis sweep grids and method comparisons.
 
 Every solve goes through bench's one-run path. The names that perfbench and
-the tests patch on bench (_execute, build_problem, _usable_cpus) are looked up
-there at call time, so a patch reroutes these commands too.
+the tests patch on bench (_execute, build_problem) are looked up there at call
+time, so a patch reroutes these commands too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import zip_longest
@@ -17,8 +18,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import bench
-from .bench import METHODS, SWEEP_AXES, SWEEP_HEADER, ExperimentSpec, QuadraticSpec, StartSpec, _write_csv
+from .bench import METHODS, ExperimentSpec, QuadraticSpec, StartSpec, _write_csv
 from .drivers import DriverResult
+
+SWEEP_AXES = ("L", "mu", "mu0", "L0")
+SWEEP_HEADER = ("axis_value", "sqrt_L_over_mu", "total_grad_calls", "total_value_calls", "converged")
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,13 @@ def _solve_claims(points: list[tuple], indices: Iterable[int]) -> tuple[list[tup
     return rows, failure
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork, make a claim file or read its CPU set."""
+    if not all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity")):
+        return 1  # Windows has no fork, macOS no memfd or CPU set
+    return len(os.sched_getaffinity(0))
+
+
 def _solve_grid(points: list[tuple], kappas: list[float], workers: int) -> list[tuple[int, int, bool]]:
     """(grad_calls, value_calls, converged) per (spec, problem) point, in grid order.
 
@@ -134,35 +145,31 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     instances = {problem: bench.build_problem(problem) for problem in dict.fromkeys(point.problem for point in points)}
     built = [instances[point.problem] for point in points]
     # mu0/L0 points share one instance, whose large products OpenBLAS already threads
-    workers = min(len(points), bench._usable_cpus()) if spec.axis in ("L", "mu") else 1
+    workers = min(len(points), _usable_cpus()) if spec.axis in ("L", "mu") else 1
     kappas = [problem.known_L / problem.known_mu for problem in built]
     solved = _solve_grid(list(zip(points, built)), kappas, workers)
-    header = SWEEP_HEADER.split(",")
     rows = [
-        dict(zip(header, (value, float(np.sqrt(kappa)), *outcome)))
+        dict(zip(SWEEP_HEADER, (value, float(np.sqrt(kappa)), *outcome)))
         for (value, _), kappa, outcome in zip(grid, kappas, solved, strict=True)
     ]
     path = Path(spec.base.output_dir) / "sweep.csv"
-    _write_csv(path, header, (row.values() for row in rows))
+    _write_csv(path, SWEEP_HEADER, (row.values() for row in rows))
     return rows, path
 
 
 def compare(specs: list[ExperimentSpec]) -> tuple[dict[str, DriverResult], Path]:
     """Run several methods on one problem; write aligned overlay columns.
 
-    Every spec must share the problem, start point and output directory. The CSV
+    The specs may differ only in method, L0 and mu0, so that every column pair
+    counts gradients toward one target on one instance from one start. The CSV
     holds one grad_calls/grad_norm column pair per method, rows padded at the tail.
     """
     if not specs:
         raise ValueError("compare needs at least one experiment")
+    shared = {(s.problem, s.x0, Path(s.output_dir), s.config.epsilon, s.eps_rel, s.max_grad_calls) for s in specs}
+    if len(shared) > 1:
+        raise ValueError("compare experiments may differ only in method, L0 and mu0")
     first = specs[0]
-    for other in specs[1:]:
-        if other.problem != first.problem:
-            raise ValueError("compare experiments must share the problem")
-        if other.x0 != first.x0:
-            raise ValueError("compare experiments must share the start point")
-        if Path(other.output_dir) != Path(first.output_dir):
-            raise ValueError("compare experiments must share the output directory")
 
     problem = bench.build_problem(first.problem)
     results: dict[str, DriverResult] = {}

@@ -201,11 +201,6 @@ def _doubled(L: float, L_ref: float) -> float:
     return L
 
 
-def _grad_norm(g: Vector, g_sq: float) -> float:
-    """|g| from g_sq = |g|**2, or from g itself where g_sq overflowed to inf."""
-    return math.sqrt(g_sq) if g_sq < math.inf else norm2(g)
-
-
 def _decrease_step(
     oracle: CountingOracle, x: Vector, f_x: float, g: Vector, g_sq: float, L: float, L_first: float
 ) -> Optional[tuple[Vector, float]]:
@@ -230,7 +225,7 @@ def _decrease_step(
             "about sqrt(2*L*ulp(f))"
         )
         what = f"accepted step at grad_calls={oracle.grad_calls} left the iterate unchanged"
-        raise StalledIterate(what, x, _grad_norm(g, g_sq), L, cause)
+        raise StalledIterate(what, x, norm2(g), L, cause)
     return y, f_y
 
 
@@ -281,7 +276,7 @@ def ogmgl_run(
             restarts += 1
             L_hat = _doubled(L_hat, L_in)
             if on_restart is not None:
-                on_restart(x, _grad_norm(g, g_sq), f_x, L_hat)
+                on_restart(x, norm2(g), f_x, L_hat)
             return None
         y_next, f_y = accepted
         if step_probe is not None:

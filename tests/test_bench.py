@@ -36,13 +36,12 @@ from fastgrad import (
     run_experiment,
     run_sweep,
 )
-from fastgrad import bench, parallel, problems
+from fastgrad import bench, grid, parallel, problems
 from fastgrad.bench import (
     METHOD_FORMS,
     METHODS,
     PROBLEM_FORMS,
     START_KINDS,
-    SWEEP_AXES,
     TRACE_HEADER,
     build_problem,
     make_start,
@@ -50,6 +49,7 @@ from fastgrad.bench import (
     parse_problem,
 )
 from fastgrad.cli import main
+from fastgrad.grid import SWEEP_AXES
 from fastgrad.ogmg import StalledIterate
 
 ILL = QuadraticSpec(diag=(1000.0, 0.1))
@@ -83,7 +83,7 @@ class TestRunExperiment:
     def test_writes_trace_and_summary(self, tmp_path):
         result, trace_path = run_experiment(spec(tmp_path))
         assert result.converged
-        assert trace_path.read_text().splitlines()[0] == TRACE_HEADER
+        assert trace_path.read_text().splitlines()[0] == ",".join(TRACE_HEADER)
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["converged"] is True
         assert summary["method"] == "acgm"
@@ -288,7 +288,7 @@ class TestParallelSweep:
     VALUES = ("100", "400", "1600", "6400")
 
     def sweep(self, tmp_path, monkeypatch, cpus, method="acgm", axis="L", values=VALUES, reps=1, x0="gaussian"):
-        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(grid, "_usable_cpus", lambda: cpus)
         out = tmp_path / f"{method}-{axis}-{cpus}"
         argv = [
             "sweep", "--problem", "quadratic:100,1", "--method", method, "--l0", "100",
@@ -299,11 +299,11 @@ class TestParallelSweep:
 
     def test_one_cpu_without_a_cpu_set(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert bench._usable_cpus() == 1
+        assert grid._usable_cpus() == 1
 
     def test_one_cpu_without_memfd(self, monkeypatch):
         monkeypatch.delattr(os, "memfd_create")
-        assert bench._usable_cpus() == 1
+        assert grid._usable_cpus() == 1
 
     @pytest.mark.parametrize("axis,values", [("L", VALUES), ("mu", ("0.25", "1", "4", "16"))])
     @pytest.mark.parametrize("method", ["acgm", "algm", "ugm", "ogmg_repeated"])
@@ -620,7 +620,7 @@ class TestFormats:
             parse_method("nope")
 
     def test_trace_columns_are_trace_event_fields(self):
-        assert TRACE_HEADER.split(",")[2:] == list(TraceEvent._fields[1:])
+        assert TRACE_HEADER[2:] == TraceEvent._fields[1:]
 
 
 class TestCompare:
@@ -651,12 +651,12 @@ class TestCompare:
             spec(tmp_path),
             spec(tmp_path, problem=QuadraticSpec(diag=(10.0, 1.0))),
         ]
-        with pytest.raises(ValueError, match="share the problem"):
+        with pytest.raises(ValueError, match="may differ only in method, L0 and mu0"):
             compare(specs)
 
     def test_mismatched_starts_rejected(self, tmp_path):
         specs = [spec(tmp_path), spec(tmp_path, x0=StartSpec("ones"))]
-        with pytest.raises(ValueError, match="share the start"):
+        with pytest.raises(ValueError, match="may differ only in method, L0 and mu0"):
             compare(specs)
 
     def test_mismatched_output_dirs_rejected(self, tmp_path):
@@ -665,10 +665,49 @@ class TestCompare:
             spec(tmp_path, output_dir=tmp_path / "a"),
             spec(tmp_path, method=MethodSpec(name="ugm"), output_dir=tmp_path / "b"),
         ]
-        with pytest.raises(ValueError, match="share the output directory"):
+        with pytest.raises(ValueError, match="may differ only in method, L0 and mu0"):
             compare(specs)
         assert not (tmp_path / "a").exists()
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (dict(eps_rel=1e-2, max_grad_calls=50), dict(eps_rel=1e-9, max_grad_calls=50)),
+            # without eps_rel, the config's epsilon is the target itself
+            (dict(eps_rel=None), dict(eps_rel=None, config=SolverConfig(epsilon=1e-3, L0=1000.0))),
+            (dict(), dict(max_grad_calls=50)),
+        ],
+        ids=["eps_rel", "epsilon", "max_grad_calls"],
+    )
+    def test_mismatched_targets_or_caps_rejected(self, tmp_path, monkeypatch, first, second):
+        # gradient-call axes toward different targets, or under different caps, do not overlay
+        built = []
+        monkeypatch.setattr(bench, "build_problem", built.append)
+        specs = [spec(tmp_path, **first), spec(tmp_path, method=MethodSpec(name="algm"), **second)]
+        with pytest.raises(ValueError, match="may differ only in method, L0 and mu0"):
+            compare(specs)
+        assert built == []
+        assert not (tmp_path / "run").exists()
+
+    def test_methods_and_constants_may_differ(self, tmp_path):
+        specs = [
+            spec(tmp_path, config=SolverConfig(epsilon=1.0, L0=1000.0, mu0=0.1)),
+            spec(tmp_path, method=MethodSpec(name="algm"), config=SolverConfig(epsilon=1.0, L0=10.0)),
+        ]
+        results, _ = compare(specs)
+        assert set(results) == {"acgm", "algm"}
+
+    def test_seeds_of_seedless_starts_compare_equal(self, tmp_path):
+        # only the gaussian start reads its seed: ones with seed 5 is the ones start
+        assert StartSpec("ones", 5) == StartSpec("ones")
+        assert StartSpec("zeros", 3).label() == "zeros"
+        specs = [
+            spec(tmp_path, x0=StartSpec("ones", 5)),
+            spec(tmp_path, method=MethodSpec(name="algm"), x0=StartSpec("ones")),
+        ]
+        results, _ = compare(specs)
+        assert set(results) == {"acgm", "algm"}
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one experiment"):

@@ -77,7 +77,7 @@ POOL_MODULES = ("multiprocessing", "concurrent.futures", "fcntl", "fastgrad.para
 # L-axis sweep at the end, on two CPUs, shows that the check can see them
 SERIAL_THEN_PARALLEL = """
 import sys
-from fastgrad import bench
+from fastgrad import grid
 from fastgrad.cli import main
 
 out = sys.argv[1]
@@ -85,7 +85,7 @@ common = ["--problem", "quadratic:100,1", "--method", "acgm", "--l0", "100", "--
 assert main(["run", *common, "--out", out + "/run"]) == 0
 assert main(["sweep", *common, "--axis", "mu0", "--values", "1,10", "--out", out + "/mu0"]) == 0
 print(*(name in sys.modules for name in {modules!r}))
-bench._usable_cpus = lambda: 2
+grid._usable_cpus = lambda: 2
 assert main(["sweep", *common, "--axis", "L", "--values", "100,400", "--out", out + "/L"]) == 0
 print(*(name in sys.modules for name in {modules!r}))
 """

@@ -177,6 +177,15 @@ def test_gradient_whose_square_overflows_is_judged_without_squaring():
     assert out.L_end == 2e200 and out.inner_restarts == 2
 
 
+def test_gradient_whose_square_underflows_reports_its_norm():
+    # |g|**2 = 1e-340 underflows to 0; each restart still reports |g|, not sqrt(0)
+    tiny = Objective(dim=1, value=lambda x: float(-x[0]), gradient=lambda x: np.full(1, 1e-170))
+    norms = []
+    with pytest.raises(RunawayLipschitzError):
+        ogmgl_run(CountingOracle(tiny), np.zeros(1), 1.0, 3, on_restart=lambda x, g, f, L: norms.append(g))
+    assert norms == [1e-170] * 61
+
+
 def test_rejects_bad_inputs():
     p = QuadraticProblem(diag=np.array([1.0]))
     oracle = CountingOracle(p.objective())
