@@ -2,20 +2,21 @@
 
 Every solve goes through bench's one-run path. The names that perfbench and
 the tests patch on bench (_execute, build_problem) are looked up there at call
-time, so a patch reroutes these commands too.
+time, so a patch reroutes these commands too. A parallel sweep forks its workers
+here; they claim points from a locked claim file. fcntl and signal are imported
+at their only uses, so that run, compare and serial sweeps never load them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Optional
-
-import numpy as np
 
 from . import bench
 from .bench import METHODS, ExperimentSpec, QuadraticSpec, StartSpec, _write_csv
@@ -101,6 +102,81 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _claim_file(order: list[int]) -> int:
+    """A memory file holding order at 4 bytes a point, read from its start; the caller closes it."""
+    claims = os.memfd_create("fastgrad-sweep-claims")
+    os.write(claims, b"".join(index.to_bytes(4, "little") for index in order))
+    os.lseek(claims, 0, os.SEEK_SET)
+    return claims
+
+
+def _take(claims: int) -> Optional[int]:
+    """The next point from a claim file the sweep's processes share; None once all are taken.
+
+    Forked processes share the file's offset. The record lock makes each read
+    hand out its entry once, and the kernel drops it if its holder dies."""
+    import fcntl
+
+    fcntl.lockf(claims, fcntl.LOCK_EX)
+    try:
+        entry = os.read(claims, 4)
+    finally:
+        fcntl.lockf(claims, fcntl.LOCK_UN)
+    return int.from_bytes(entry, "little") if entry else None
+
+
+def _fork_claimer(points: list[tuple], claims: int):
+    """Fork a process that solves the points it claims and pickles the outcome into a pipe.
+
+    Returns the child's pid and the pipe's read end. The child always leaves
+    through os._exit: 0 once its outcome is sent, 1 if anything failed."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            sent = pickle.dumps(_solve_claims(points, iter(partial(_take, claims), None)))
+            with open(write_end, "wb") as pipe:
+                pipe.write(sent)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _solve_claimed(points: list[tuple], order: list[int], workers: int) -> list[tuple]:
+    """_solve_claims's outcomes over the indices this process and workers - 1 forked ones claim from order.
+
+    A worker that dies or sends no outcome raises RuntimeError. On any
+    exception, one raised by a signal handler too, no worker is left running."""
+    import signal
+
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    claims = _claim_file(order)
+    try:
+        for _ in range(workers - 1):
+            children.append(_fork_claimer(points, claims))
+        outcomes = [_solve_claims(points, iter(partial(_take, claims), None))]
+        while children:
+            pid, pipe = children[-1]
+            with pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop()
+            if code or not sent:
+                raise RuntimeError(f"sweep worker {pid} ended with exit code {code} before sending its outcome")
+            outcomes.append(pickle.loads(sent))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(claims)
+    return outcomes
+
+
 def _solve_grid(points: list[tuple], kappas: list[float], workers: int) -> list[tuple[int, int, bool]]:
     """(grad_calls, value_calls, converged) per (spec, problem) point, in grid order.
 
@@ -111,12 +187,7 @@ def _solve_grid(points: list[tuple], kappas: list[float], workers: int) -> list[
     outcome, and rows that do not carry each point once, raise RuntimeError.
     """
     order = sorted(range(len(points)), key=kappas.__getitem__, reverse=True)
-    if workers == 1:
-        outcomes = [_solve_claims(points, order)]
-    else:  # a module of its own, so that serial runs never load or compile it
-        from .parallel import solve_claimed
-
-        outcomes = solve_claimed(partial(_solve_claims, points), order, workers)
+    outcomes = [_solve_claims(points, order)] if workers == 1 else _solve_claimed(points, order, workers)
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -149,7 +220,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], Path]:
     kappas = [problem.known_L / problem.known_mu for problem in built]
     solved = _solve_grid(list(zip(points, built)), kappas, workers)
     rows = [
-        dict(zip(SWEEP_HEADER, (value, float(np.sqrt(kappa)), *outcome)))
+        dict(zip(SWEEP_HEADER, (value, math.sqrt(kappa), *outcome)))
         for (value, _), kappa, outcome in zip(grid, kappas, solved, strict=True)
     ]
     path = Path(spec.base.output_dir) / "sweep.csv"

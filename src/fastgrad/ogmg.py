@@ -99,11 +99,12 @@ def make_schedule(N: int) -> Schedule:
 def halving_budget(L: float, mu: float) -> int:
     """Steps guaranteeing the gradient norm at least halves: ceil(2*sqrt(2*L/mu)).
 
-    A ratio that overflows gives the largest finite float, a step count no
-    gradient budget can reserve."""
+    The ratio L/mu is taken before it is doubled, so that an L near the top of
+    the float range does not overflow 2*L. A ratio that overflows gives the
+    largest finite float, a step count no gradient budget can reserve."""
     _positive("L", L)
     _positive("mu", mu)
-    return max(1, math.ceil(min(2.0 * math.sqrt(2.0 * L / mu), sys.float_info.max)))
+    return max(1, math.ceil(min(2.0 * math.sqrt(2.0 * (L / mu)), sys.float_info.max)))
 
 
 def _momentum_pass(x0: Vector, N: int, gradient_step: GradientStep) -> Optional[Vector]:

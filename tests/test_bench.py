@@ -36,7 +36,7 @@ from fastgrad import (
     run_experiment,
     run_sweep,
 )
-from fastgrad import bench, grid, parallel, problems
+from fastgrad import bench, grid, problems
 from fastgrad.bench import (
     METHOD_FORMS,
     METHODS,
@@ -333,9 +333,9 @@ class TestParallelSweep:
     def test_shared_counter_hands_out_each_point_once_in_order(self):
         # two claimers drawing on one fresh claim file, as this process and a worker do
         order = [3, 1, 2, 0]
-        claims = parallel.claim_file(order)
+        claims = grid._claim_file(order)
         try:
-            first, second = (iter(partial(parallel.take, claims), None) for _ in range(2))
+            first, second = (iter(partial(grid._take, claims), None) for _ in range(2))
             assert [next(first), next(second), next(second), next(first)] == order
             assert list(first) == list(second) == []
         finally:
@@ -360,13 +360,13 @@ class TestParallelSweep:
 
     def test_a_point_claimed_twice_aborts_without_output(self, tmp_path, monkeypatch, capsys):
         # each process hands its first claim out a second time, so the rows repeat a point
-        handed, take = [], parallel.take
+        handed, take = [], grid._take
 
         def twice(claims):
             handed.append(handed[0] if len(handed) == 1 else take(claims))
             return handed[-1]
 
-        monkeypatch.setattr(parallel, "take", twice)
+        monkeypatch.setattr(grid, "_take", twice)
         code, path = self.sweep(tmp_path, monkeypatch, 2)
         assert code == 3
         assert "not one each" in capsys.readouterr().err
@@ -881,6 +881,19 @@ class TestCli:
         assert all(math.isfinite(float(row["grad_norm"])) for row in rows)
         if method == "algm":  # its first trial, at L0/2, fails the test at the start
             assert rows[1]["event_kind"] == "inner_restart" and rows[1]["grad_norm"] == "1e+200"
+
+    @pytest.mark.parametrize("method,problem,start,l0", [
+        ("acgm", "quadratic:1e308,1e308", "gaussian", "1e308"),
+        ("algm", "quadratic:1e308,5e307", "ones", "1.7e308"),
+    ])
+    def test_curvature_whose_double_overflows_converges(self, tmp_path, method, problem, start, l0):
+        # 2 * L overflows for L >= 2**1023; the halving budget must not, or the first
+        # pass asks for about 1.8e308 steps and the run ends budget-exhausted
+        code = main([
+            "run", "--problem", problem, "--method", method, "--l0", l0,
+            "--x0", start, "--eps-rel", "1e-10", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
 
     @pytest.mark.parametrize("method", ["ogmg:3", "acgm", "algm", "ugm"])
     def test_non_finite_iterate_exit_three(self, tmp_path, capsys, method):

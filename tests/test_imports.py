@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses, every name the
 scripts and tests import from the package is in its __all__, serial commands
 never import the modules that parallel sweeps use, run never imports
-logging, the commands run clean under python -X dev -W error, and every
+logging, the commands run clean under python -X dev -W error, every
 exception the package defines survives the pickling that carries it out of
-a worker.
+a worker, and no module of the package compiles at a higher memory peak
+than the benchmark's driver.
 
 The unused-import check parses each source file with ast, so it needs no linter;
 it covers the scripts and the tests too.
@@ -11,6 +12,7 @@ it covers the scripts and the tests too.
 
 import ast
 import importlib
+import json
 import os
 import pickle
 import subprocess
@@ -71,7 +73,7 @@ def test_all_holds_every_name_scripts_and_tests_import_from_the_package():
     assert fastgrad.__all__ == sorted(fastgrad.__all__)
 
 
-POOL_MODULES = ("multiprocessing", "concurrent.futures", "fcntl", "fastgrad.parallel")
+POOL_MODULES = ("multiprocessing", "concurrent.futures", "fcntl")
 
 # run and a serial sweep must not pay for the parallel sweep's imports; the
 # L-axis sweep at the end, on two CPUs, shows that the check can see them
@@ -104,8 +106,8 @@ def test_serial_commands_import_no_process_pool(tmp_path):
     done = run_serial_then_parallel(tmp_path)
     assert done.returncode == 0, done.stderr
     serial, parallel = (line for line in done.stdout.splitlines() if not line.startswith("converged"))
-    assert serial == "False False False False"
-    assert parallel == "False False True True"
+    assert serial == "False False False"
+    assert parallel == "False False True"
 
 
 def test_commands_run_clean_in_dev_mode(tmp_path):
@@ -185,3 +187,34 @@ def test_exception_pickles_intact(name):
     assert vars(copy).keys() == vars(exc).keys()
     for attr, value in vars(exc).items():
         assert np.array_equal(getattr(copy, attr), value)
+
+
+# with no cached bytecode a process keeps the compile() peak of its largest
+# module resident, and perfbench/run.py's own peak sets the benchmark's memory
+# floor; a package module that compiles above it would raise peak_rss_mb
+COMPILE_PEAKS = """
+import json, sys, tracemalloc
+
+peaks = {}
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        source = fh.read()
+    tracemalloc.start()
+    compile(source, path, "exec")
+    peaks[path] = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def test_no_module_compiles_above_the_benchmark_driver():
+    driver = str(ROOT / "perfbench" / "run.py")
+    modules = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
+    done = subprocess.run(
+        [sys.executable, "-c", COMPILE_PEAKS, driver, *modules],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    peaks = json.loads(done.stdout)
+    floor = peaks.pop(driver)
+    assert {Path(path).name: peak for path, peak in peaks.items() if peak > floor} == {}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +99,30 @@ def test_halving_budget_values():
     assert halving_budget(1000.0, 0.1) == 283
     assert halving_budget(1.0, 1.0) == 3
     assert halving_budget(2.0, 1.0) == 4
+    assert halving_budget(2.0**1023, 2.0**1023) == 3  # 2L overflows, L/mu does not
+
+
+positive_floats = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@given(positive_floats, positive_floats)
+@settings(max_examples=200, deadline=None)
+def test_halving_budget_is_power_of_two_invariant(L, mu):
+    # c = 2**k scales L and mu exactly while both stay finite and neither drops
+    # into the subnormals (frexp's exponent e puts x in [2**(e-1), 2**e))
+    (_, e_L), (_, e_mu) = math.frexp(L), math.frexp(mu)
+    lowest = min(0, -1021 - min(e_L, e_mu))
+    highest = 1024 - max(e_L, e_mu)
+    n = halving_budget(L, mu)
+    assert all(halving_budget(math.ldexp(L, k), math.ldexp(mu, k)) == n for k in range(lowest, highest + 1))
+
+
+@given(positive_floats, positive_floats)
+@settings(max_examples=200, deadline=None)
+def test_halving_budget_where_2L_is_finite_is_the_doubled_ratios(L, mu):
+    # ceil(2*sqrt(2*L/mu)) with 2*L formed first, where that product is finite
+    if 2.0 * L < math.inf:
+        assert halving_budget(L, mu) == max(1, math.ceil(min(2.0 * math.sqrt(2.0 * L / mu), sys.float_info.max)))
 
 
 @pytest.mark.parametrize("L,mu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)])
