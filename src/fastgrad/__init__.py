@@ -11,7 +11,6 @@ from .core import (
     RunTrace,
     TraceEvent,
     Vector,
-    as_vector,
     check_gradient,
     norm2,
 )

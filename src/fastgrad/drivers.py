@@ -242,9 +242,9 @@ def ugm(oracle: CountingOracle, x0: Vector, cfg: SolverConfig) -> DriverResult:
     Each step halves the smoothness estimate, then doubles it at the same x
     until the plain gradient step x - g/L passes the sufficient-decrease test
     f(x') <= f(x) - |g|**2/(2L) of ogmg._decrease_step; the runaway limit of
-    _doubled is L0 * 2**60, run-wide. Accepted values are reused, so the
-    per-probe cost is a single value evaluation. No step is taken whose
-    point the gradient budget cannot evaluate.
+    _doubled is L0 * 2**60, run-wide, or the largest float. Accepted values
+    are reused, so the per-probe cost is a single value evaluation. No step
+    is taken whose point the gradient budget cannot evaluate.
     """
     x = start_vector(oracle, x0)
     res = DriverResult(oracle)

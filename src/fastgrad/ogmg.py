@@ -182,8 +182,8 @@ class OgmglOutcome:
     """Result of one smoothness-adaptive run.
 
     L_end is at least L_in/2 (the entry halving is the only decrease) and
-    L_end / (L_in/2) is an exact power of two; inner_restarts counts the
-    doublings.
+    L_end / (L_in/2) is an exact power of two, unless the last doubling
+    stopped at the largest float; inner_restarts counts the doublings.
     """
 
     x_final: Vector
@@ -192,8 +192,14 @@ class OgmglOutcome:
 
 
 def _doubled(L: float, L_ref: float) -> float:
-    """2L, or RunawayLipschitzError once 2L / L_ref > 2**60 (a ratio that cannot overflow)."""
-    L = 2.0 * L
+    """2L, stopped at the largest float; RunawayLipschitzError if L already is the largest
+    float, or once the doubled L / L_ref > 2**60 (a ratio that cannot overflow)."""
+    if L == sys.float_info.max:
+        raise RunawayLipschitzError(
+            f"smoothness estimate {L:.3e} is the largest float and cannot double; "
+            "oracle looks non-smooth or inconsistent"
+        )
+    L = min(2.0 * L, sys.float_info.max)
     if L / L_ref > 2.0**60:
         raise RunawayLipschitzError(
             f"smoothness estimate {L:.3e} exceeded {L_ref:.3e} * 2**60; "
@@ -206,7 +212,8 @@ def _decrease_step(
     oracle: CountingOracle, x: Vector, f_x: float, g: Vector, g_sq: float, L: float, L_first: float
 ) -> Optional[tuple[Vector, float]]:
     """(y, f(y)) for y = x - g/L if f(y) <= f(x) - g_sq/(2L), else None; g_sq is |g|**2,
-    or inf where that overflows, and the decrease g_sq/(2L) is then taken as |g|/(2L) * |g|.
+    or inf where that overflows. The decrease g_sq/(2L) is taken as g_sq/L/2, or as
+    |g|/L/2 * |g| where g_sq is inf, so that it does not vanish where 2L overflows.
 
     Below the test's precision, |g| of about sqrt(2*L*ulp(f)), rounding fails it until
     g/L vanishes against x and it passes with y == x: an accepted non-step. It
@@ -215,7 +222,7 @@ def _decrease_step(
     before any doubling, means the estimate was too large for x from the start."""
     y = x - g / L
     f_y = oracle.value(y)
-    drop = g_sq / (2.0 * L) if g_sq < math.inf else (g_norm := norm2(g)) / (2.0 * L) * g_norm
+    drop = g_sq / L / 2.0 if g_sq < math.inf else (g_norm := norm2(g)) / L / 2.0 * g_norm
     if f_y > f_x - drop:
         return None
     if f_y >= f_x and g_sq > 0.0 and np.array_equal(y, x):
@@ -258,9 +265,10 @@ def ogmgl_run(
     the logistic objective computes X @ w once for each step's f(x), grad f(x)
     pair. A pass starts only if N + 1 gradients fit the oracle's budget (else
     BudgetExhausted): its N steps plus the one that judges its final point.
-    Past L_in * 2**60, _doubled raises RunawayLipschitzError. An accepted step
-    that leaves the iterate unchanged raises StalledIterate, which carries that
-    iterate: whether it is converged is the caller's call.
+    Past L_in * 2**60, or from the largest float, _doubled raises
+    RunawayLipschitzError. An accepted step that leaves the iterate unchanged
+    raises StalledIterate, which carries that iterate: whether it is converged
+    is the caller's call.
     """
     _positive("L_in", L_in)
     x0 = start_vector(oracle, x0)

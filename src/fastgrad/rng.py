@@ -32,7 +32,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
-_VECTOR_MIN = 32  # below this many variates the per-draw loop is faster
+_VECTOR_MIN = 32  # below this many variates the loop on Python floats is faster
 _BLOCK = 4096  # draws per vectorised block (even); bounds the scratch memory
 
 
@@ -52,24 +52,30 @@ class SplitMix64:
     def normals(self, count: int) -> np.ndarray:
         """count standard normal variates via Box-Muller.
 
-        Small counts take the per-draw loop, larger ones whole blocks of
-        draws; both give the same values and leave the same state.
+        Both paths draw whole pairs, an odd count's last pair too, and cut to
+        count once: small counts one pair at a time on Python floats, larger
+        ones in blocks of draws. They give the same values and leave the same state.
         """
         if count < _VECTOR_MIN:
-            return self._normals_per_draw(count)
-        out = np.empty(count)
-        for lo in range(0, count, _BLOCK):
-            n = min(_BLOCK, count - lo)
-            z = self._u64_block(n + (n & 1))  # an odd tail still draws its whole pair
+            out = []
+            for _ in range((count + 1) // 2):
+                u1 = ((self.u64() >> 11) + 1) * _INV_2_53  # (0, 1]
+                u2 = (self.u64() >> 11) * _INV_2_53  # [0, 1)
+                r = math.sqrt(-2.0 * math.log(u1))
+                angle = 2.0 * math.pi * u2
+                out += (r * math.cos(angle), r * math.sin(angle))
+            return np.array(out[:count])
+        out = np.empty(count + (count & 1))
+        for lo in range(0, out.size, _BLOCK):
+            z = self._u64_block(min(_BLOCK, out.size - lo))  # _BLOCK is even: whole pairs
             u1 = ((z[0::2] >> 11) + 1).astype(np.float64) * _INV_2_53  # (0, 1]
             u2 = (z[1::2] >> 11).astype(np.float64) * _INV_2_53  # [0, 1)
             log_u1 = np.log(u1[::-1])[::-1]  # the reversed stride selects the libm loop
             r = np.sqrt(-2.0 * log_u1)
             angle = 2.0 * math.pi * u2
-            block = out[lo : lo + n]
-            block[0::2] = r * np.cos(angle)
-            block[1::2] = (r * np.sin(angle))[: n // 2]
-        return out
+            out[lo : lo + z.size : 2] = r * np.cos(angle)
+            out[lo + 1 : lo + z.size : 2] = r * np.sin(angle)
+        return out[:count]
 
     def signs(self, count: int) -> np.ndarray:
         """count labels drawn uniformly from {-1.0, +1.0}."""
@@ -77,22 +83,6 @@ class SplitMix64:
         for lo in range(0, count, _BLOCK):
             z = self._u64_block(min(_BLOCK, count - lo))
             out[lo : lo + z.size] = np.where(z >> 63 == 0, 1.0, -1.0)
-        return out
-
-    def _normals_per_draw(self, count: int) -> np.ndarray:
-        out = np.empty(count)
-        pairs = (count + 1) // 2
-        idx = 0
-        for _ in range(pairs):
-            u1 = ((self.u64() >> 11) + 1) * _INV_2_53  # (0, 1]
-            u2 = (self.u64() >> 11) * _INV_2_53  # [0, 1)
-            r = math.sqrt(-2.0 * math.log(u1))
-            angle = 2.0 * math.pi * u2
-            out[idx] = r * math.cos(angle)
-            idx += 1
-            if idx < count:
-                out[idx] = r * math.sin(angle)
-                idx += 1
         return out
 
     def _u64_block(self, n: int) -> np.ndarray:

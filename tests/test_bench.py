@@ -885,15 +885,21 @@ class TestCli:
     @pytest.mark.parametrize("method,problem,start,l0", [
         ("acgm", "quadratic:1e308,1e308", "gaussian", "1e308"),
         ("algm", "quadratic:1e308,5e307", "ones", "1.7e308"),
+        ("ugm", "quadratic:1e308", "ones", "9e307"),
+        ("algm", "quadratic:1e308", "ones", "9e307"),
     ])
     def test_curvature_whose_double_overflows_converges(self, tmp_path, method, problem, start, l0):
-        # 2 * L overflows for L >= 2**1023; the halving budget must not, or the first
-        # pass asks for about 1.8e308 steps and the run ends budget-exhausted
+        # 2 * L overflows for L >= 2**1023. The halving budget must not overflow with it, or
+        # the first pass asks for about 1.8e308 steps and the run ends budget-exhausted; nor
+        # the decrease test's drop, or the test accepts an L0 of 9e307 below the curvature
+        # 1e308. The doubling from 9e307 stops at the largest float.
         code = main([
             "run", "--problem", problem, "--method", method, "--l0", l0,
             "--x0", start, "--eps-rel", "1e-10", "--out", str(tmp_path / "o"),
         ])
         assert code == 0
+        curvature = max(float(c) for c in problem.partition(":")[2].split(","))
+        assert float(trace_rows(tmp_path / "o" / "trace.csv")[-1]["L_estimate"]) >= curvature
 
     @pytest.mark.parametrize("method", ["ogmg:3", "acgm", "algm", "ugm"])
     def test_non_finite_iterate_exit_three(self, tmp_path, capsys, method):

@@ -17,13 +17,13 @@ from fastgrad import (
     SolverConfig,
     acgm,
     algm,
-    as_vector,
     check_gradient,
     gen_logreg,
     norm2,
     ogmg_repeated,
     ugm,
 )
+from fastgrad.core import as_vector
 
 vectors = arrays(
     np.float64,

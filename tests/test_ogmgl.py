@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from fastgrad import (
     make_schedule,
     ogmgl_run,
 )
-from fastgrad.ogmg import StalledIterate
+from fastgrad.ogmg import StalledIterate, _decrease_step, _doubled
 
 
 def run_with_step_checks(oracle, x0, L_in, n, **kwargs):
@@ -142,11 +143,20 @@ def test_runaway_estimate_aborts():
 
 
 def test_runaway_limit_holds_where_its_product_overflows():
-    # L_in * 2**60 is inf; the estimate itself overflows after 28 doublings
+    # L_in * 2**60 is inf; the 29th doubling stops at the largest float, and the 30th raises
     oracle = CountingOracle(LYING)
-    with pytest.raises(RunawayLipschitzError, match="exceeded"):
+    with pytest.raises(RunawayLipschitzError, match="is the largest float and cannot double"):
         ogmgl_run(oracle, np.zeros(1), 1e300, 3)
-    assert oracle.grad_calls == 29
+    assert oracle.grad_calls == 30
+
+
+def test_doubling_stops_at_the_largest_float():
+    assert _doubled(2.0**1022, 2.0**1000) == 2.0**1023
+    assert _doubled(2.0**1023, 1e300) == sys.float_info.max
+    with pytest.raises(RunawayLipschitzError, match="is the largest float"):
+        _doubled(sys.float_info.max, 1e300)
+    with pytest.raises(RunawayLipschitzError, match="exceeded"):
+        _doubled(2.0**1023, 1.0)
 
 
 # flat values and a tiny gradient: every trial step g/L vanishes against x = 1
@@ -165,7 +175,7 @@ def test_non_step_raises_the_stalled_iterate():
 
 
 def test_gradient_whose_square_overflows_is_judged_without_squaring():
-    # |g|**2 = 1e400 overflows; the test takes its decrease as |g| / (2L) * |g|, and the
+    # |g|**2 = 1e400 overflows; the test takes its decrease as |g| / L / 2 * |g|, and the
     # restart reports |g| itself, without an overflow warning
     oracle = CountingOracle(QuadraticProblem(diag=np.array([1e200, 1.0])).objective())
     norms = []
@@ -184,6 +194,15 @@ def test_gradient_whose_square_underflows_reports_its_norm():
     with pytest.raises(RunawayLipschitzError):
         ogmgl_run(CountingOracle(tiny), np.zeros(1), 1.0, 3, on_restart=lambda x, g, f, L: norms.append(g))
     assert norms == [1e-170] * 61
+
+
+def test_decrease_where_2L_overflows_rejects_a_step_below_the_curvature():
+    # at L = 2**1023 < 1e308 the drop |g| / L / 2 * |g| = 5.6e307 exceeds f(1) = 5e307, so the
+    # step to 1 - 1e308 / 2**1023 = -0.113 fails; a drop over 2L = inf would be 0 and accept it
+    oracle = CountingOracle(QuadraticProblem(diag=np.array([1e308])).objective())
+    x = np.ones(1)
+    f_x, g = oracle.value(x), oracle.gradient(x)
+    assert _decrease_step(oracle, x, f_x, g, float(np.vdot(g, g)), 2.0**1023, 2.0**1023) is None
 
 
 def test_rejects_bad_inputs():

@@ -348,12 +348,13 @@ class TestGeneration:
             assert np.array_equal(got.view(np.uint64), reference(ref, count).view(np.uint64))
             assert stream._state == ref._state
 
-    @given(st.integers(0, 2**64 - 1), st.integers(_VECTOR_MIN, 2 * _BLOCK + 3))
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2 * _BLOCK + 3))
     @settings(max_examples=40, deadline=None)
     def test_block_normals_match_libm_reference(self, seed, count):
-        # the block path takes log, cos and sin from numpy; this fails if numpy's
-        # float64 cos/sin, or its log through a reversed stride, ever stop
-        # agreeing with math's, bit for bit
+        # counts on both sides of _VECTOR_MIN: the block path takes log, cos and sin
+        # from numpy; this fails if numpy's float64 cos/sin, or its log through a
+        # reversed stride, ever stop agreeing with math's, bit for bit, or if the
+        # small path's odd tail leaves a different value or state
         stream, ref = SplitMix64(seed), SplitMix64(seed)
         got = stream.normals(count)
         assert np.array_equal(got.view(np.uint64), reference_normals(ref, count).view(np.uint64))
