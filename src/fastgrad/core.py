@@ -1,13 +1,15 @@
 """Vector arithmetic, objective/oracle abstractions, and gradient validation.
 
-Everything downstream works on dense float64 vectors. Oracles count every
-evaluation and reject non-finite results at the boundary, so runs abort with
-a diagnostic instead of propagating NaN/Inf through the iteration.
+Everything downstream works on dense float64 vectors. start_vector checks a
+point from outside a solver; oracles count every evaluation and check each
+result at the boundary (a float value, a gradient of its point's shape, no
+NaN/Inf), so runs abort with a diagnostic instead of propagating bad results.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -42,18 +44,6 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def as_vector(x) -> Vector:
-    """Convert to a 1-D float64 array, rejecting non-finite components."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not _all_finite(arr):
-        raise NonFiniteError("vector has non-finite components")
-    return arr
-
-
 def norm2(x: Vector) -> float:
     """Euclidean norm of x; rescales when the squared sum under- or overflows."""
     s = math.sqrt(np.vdot(x, x))  # vdot's BLAS sum runs no numpy error check: an overflow is inf, rescaled below
@@ -84,11 +74,12 @@ class CountingOracle:
 
     Counters count calls: each value or gradient call adds exactly one to its
     counter, whatever the objective shares inside (the logistic objective
-    computes X @ w once for a run of calls at the same point). Non-finite
-    results raise NonFiniteError here, at the oracle boundary. max_grad_calls
-    is a hard cap: a gradient past it raises BudgetExhausted instead of being
-    evaluated. Every driver makes at most 2 * grad_calls + 61 value calls, so
-    values need no cap of their own.
+    computes X @ w once for a run of calls at the same point). Results are
+    checked here, at the oracle boundary: a value float() rejects or a gradient
+    without its point's shape raises ValueError, a non-finite one NonFiniteError.
+    max_grad_calls is a hard cap: a gradient past it raises BudgetExhausted
+    instead of being evaluated. Every driver makes at most 2 * grad_calls + 61
+    value calls, so values need no cap of their own.
     """
 
     def __init__(self, inner: Objective):
@@ -104,7 +95,11 @@ class CountingOracle:
 
     def value(self, x: Vector) -> float:
         self.value_calls += 1
-        v = float(self.inner.value(x))
+        v = self.inner.value(x)
+        try:
+            v = float(v)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"objective value {reprlib.repr(v)} is not a real number") from exc
         if not math.isfinite(v):
             raise NonFiniteError(
                 f"objective value is non-finite ({v!r}) after "
@@ -117,6 +112,9 @@ class CountingOracle:
             raise BudgetExhausted(f"all {self.max_grad_calls} gradients spent")
         self.grad_calls += 1
         g = self.inner.gradient(x)
+        if getattr(g, "shape", None) != x.shape:
+            shape = getattr(g, "shape", type(g).__name__)
+            raise ValueError(f"gradient shape {shape} does not match x {x.shape}")
         if not _all_finite(g):
             raise NonFiniteError(
                 f"gradient has non-finite components after "
@@ -126,13 +124,18 @@ class CountingOracle:
 
 
 def start_vector(oracle: CountingOracle, x0) -> Vector:
-    """Private copy of a solver's start point, checked against the objective's dimension."""
-    x = as_vector(x0)
+    """Private 1-D float64 copy of a point from outside the solver (a scalar becomes a 1-vector);
+    rejects a matrix, then a non-finite component, then a dimension other than the objective's."""
+    x = np.array(x0, dtype=np.float64, ndmin=1)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {x.shape}")
+    if not _all_finite(x):
+        raise NonFiniteError("vector has non-finite components")
     if x.size != oracle.inner.dim:
         raise ValueError(
             f"dimension mismatch: objective dim {oracle.inner.dim}, start point has {x.size}"
         )
-    return x.copy()
+    return x
 
 
 class EventKind(Enum):
@@ -173,12 +176,12 @@ def check_gradient(obj: Objective, x: Vector) -> float:
     Compares obj.gradient against central finite differences with the
     per-coordinate step _FD_STEP*max(1, |x_i|). Errors are scaled by
     max(1, |analytic|, |difference|) so near-zero coordinates are judged
-    absolutely.
+    absolutely. x passes start_vector and every evaluation a CountingOracle,
+    so their dimension, shape, value and finiteness rules hold here too.
     """
-    x = as_vector(x)
-    g = np.asarray(obj.gradient(x), dtype=np.float64)
-    if g.shape != x.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match x {x.shape}")
+    oracle = CountingOracle(obj)
+    x = start_vector(oracle, x)
+    g = oracle.gradient(x)
     worst = 0.0
     for i in range(x.size):
         step = _FD_STEP * max(1.0, abs(float(x[i])))
@@ -186,11 +189,7 @@ def check_gradient(obj: Objective, x: Vector) -> float:
         xp[i] += step
         xm = x.copy()
         xm[i] -= step
-        fp = float(obj.value(xp))
-        fm = float(obj.value(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteError(f"non-finite objective value near x (coordinate {i})")
-        diff = (fp - fm) / (2.0 * step)
+        diff = (oracle.value(xp) - oracle.value(xm)) / (2.0 * step)
         err = abs(float(g[i]) - diff) / max(1.0, abs(float(g[i])), abs(diff))
         worst = max(worst, err)
     return worst

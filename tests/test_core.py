@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,9 +22,11 @@ from fastgrad import (
     gen_logreg,
     norm2,
     ogmg_repeated,
+    ogmg_run,
+    ogmgl_run,
     ugm,
 )
-from fastgrad.core import as_vector
+from fastgrad.core import start_vector
 
 vectors = arrays(
     np.float64,
@@ -99,20 +102,24 @@ def test_norm2_triangle_inequality(pair):
     assert lhs <= rhs * (1 + 1e-12) + 1e-12
 
 
-def test_as_vector_rejects_non_finite():
-    with pytest.raises(NonFiniteError):
-        as_vector([1.0, np.nan])
-    with pytest.raises(NonFiniteError):
-        as_vector([np.inf])
+def _oracle(dim, value=lambda x: 0.0, gradient=np.zeros_like):
+    return CountingOracle(Objective(dim=dim, value=value, gradient=gradient))
 
 
-def test_as_vector_rejects_matrices():
+def test_start_vector_rejects_non_finite():
+    with pytest.raises(NonFiniteError):
+        start_vector(_oracle(2), [1.0, np.nan])
+    with pytest.raises(NonFiniteError):
+        start_vector(_oracle(1), [np.inf])
+
+
+def test_start_vector_rejects_matrices():
     with pytest.raises(ValueError):
-        as_vector(np.ones((2, 2)))
+        start_vector(_oracle(4), np.ones((2, 2)))
 
 
-def test_as_vector_promotes_a_scalar():
-    assert np.array_equal(as_vector(3.0), np.array([3.0]))
+def test_start_vector_promotes_a_scalar():
+    assert np.array_equal(start_vector(_oracle(1), 3.0), np.array([3.0]))
 
 
 def test_oracle_counts_each_evaluation():
@@ -151,6 +158,56 @@ def test_oracle_aborts_on_non_finite_gradient():
     oracle = CountingOracle(obj)
     with pytest.raises(NonFiniteError):
         oracle.gradient(np.zeros(1))
+
+
+@pytest.mark.parametrize("bad", [None, np.ones(2), [1.0], "1.0x"], ids=["none", "array", "list", "str"])
+def test_oracle_value_that_is_not_a_real_number_raises_value_error(bad):
+    oracle = _oracle(2, value=lambda x: bad)
+    with pytest.raises(ValueError, match="^objective value .* is not a real number$"):
+        oracle.value(np.zeros(2))
+    assert oracle.value_calls == 1
+
+
+def test_oracle_lets_a_type_error_inside_the_objective_through():
+    def value(x):
+        raise TypeError("raised by the objective")
+
+    with pytest.raises(TypeError, match="^raised by the objective$"):
+        _oracle(2, value=value).value(np.zeros(2))
+
+
+def test_oracle_rejects_a_gradient_that_is_not_an_array():
+    oracle = _oracle(2, gradient=lambda x: [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"gradient shape list does not match x \(2,\)"):
+        oracle.gradient(np.zeros(2))
+
+
+MISSHAPED_GRADIENT_SOLVERS = {
+    "ogmg_run": lambda oracle, x0: ogmg_run(oracle, x0, 1.0, 10),
+    "ogmgl_run": lambda oracle, x0: ogmgl_run(oracle, x0, 1.0, 10),
+    "acgm": lambda oracle, x0: acgm(oracle, x0, 1.0, SolverConfig(epsilon=1e-6, L0=1.0)),
+    "algm": lambda oracle, x0: algm(oracle, x0, SolverConfig(epsilon=1e-6, L0=1.0)),
+    "ugm": lambda oracle, x0: ugm(oracle, x0, SolverConfig(epsilon=1e-6, L0=1.0)),
+    "ogmg_repeated": lambda oracle, x0: ogmg_repeated(oracle, x0, 1.0, 0.5, 1e-6),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 2000])
+@pytest.mark.parametrize("solver", sorted(MISSHAPED_GRADIENT_SOLVERS))
+def test_solvers_reject_a_column_gradient_at_the_first_gradient(solver, dim):
+    # unchecked, x - g/L broadcasts an (n, 1) gradient against x into an n x n
+    # iterate (32 MB at n = 2000), and the list kernel at n = 2 raises a bare TypeError
+    oracle = _oracle(dim, value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x.reshape(-1, 1))
+    x0 = np.ones(dim)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^gradient shape \({dim}, 1\) does not match x \({dim},\)$"):
+            MISSHAPED_GRADIENT_SOLVERS[solver](oracle, x0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle.grad_calls == 1
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -240,6 +297,18 @@ def test_check_gradient_rejects_non_finite_values():
     obj = Objective(dim=1, value=lambda x: float("inf"), gradient=lambda x: np.zeros(1))
     with pytest.raises(NonFiniteError):
         check_gradient(obj, np.zeros(1))
+
+
+def test_check_gradient_rejects_a_point_of_the_wrong_dimension():
+    obj = Objective(dim=2, value=lambda x: 0.0, gradient=np.zeros_like)
+    with pytest.raises(ValueError, match="dimension mismatch: objective dim 2, start point has 3"):
+        check_gradient(obj, np.zeros(3))
+
+
+def test_check_gradient_rejects_non_finite_gradient():
+    obj = Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.array([0.0, np.nan]))
+    with pytest.raises(NonFiniteError, match="gradient has non-finite components"):
+        check_gradient(obj, np.zeros(2))
 
 
 def test_check_gradient_rejects_wrong_gradient_shape():
